@@ -1,14 +1,15 @@
-//! Criterion bench: parallel scenario-grid sweep throughput — the same
-//! 48-cell grid (4 fusers × 3 detectors × 2 schedules × 2 seeds, 300
-//! attacked LandShark rounds per cell) executed serially and sharded
-//! across 2/4/8 scoped worker threads. Grid order makes the parallel
-//! report byte-identical to the serial one, so the speedup is pure
-//! wall-clock: ≥3× is expected from 4 workers upward on 4+ cores.
+//! Criterion bench: multi-threaded scenario-grid sweep throughput — the
+//! same 48-cell grid (4 fusers × 3 detectors × 2 schedules × 2 seeds,
+//! 300 attacked LandShark rounds per cell) executed serially and by the
+//! `StreamingSweeper` on 2/4/8 threads (the calling thread included).
+//! Grid order makes the threaded report byte-identical to the serial
+//! one, so the speedup is pure wall-clock: ≥3× is expected from 4
+//! threads upward on 4+ cores.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use arsf_core::scenario::{AttackerSpec, FuserSpec, Scenario, StrategySpec, SuiteSpec};
-use arsf_core::sweep::{ParallelSweeper, SweepGrid};
+use arsf_core::sweep::{StreamingSweeper, SweepGrid};
 use arsf_core::DetectionMode;
 use arsf_schedule::SchedulePolicy;
 
@@ -52,7 +53,7 @@ fn bench_sweep_parallel(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(&grid).run_serial())
     });
     for threads in [2_usize, 4, 8] {
-        let sweeper = ParallelSweeper::new(threads);
+        let sweeper = StreamingSweeper::new(threads);
         group.bench_with_input(
             BenchmarkId::new("threads", threads),
             &sweeper,

@@ -1,6 +1,6 @@
 //! Scenario sweeps through the grid engine: either every named registry
 //! preset, or an ad-hoc cartesian grid described on the command line —
-//! sharded across worker threads either way, with the row order (and the
+//! run across threads either way, with the row order (and the
 //! emitted bytes) identical to a serial run.
 //!
 //! Run with: `cargo run --release -p arsf-bench --bin scenario_sweep`
@@ -65,7 +65,7 @@
 //! * `--platoon size[:gap]` — closed-loop platoon instead of a single
 //!   vehicle (gap in miles, default 0.01; implies `--closed-loop`)
 //! * `--rounds n` — rounds per cell (or per preset)
-//! * `--threads k` — worker threads (default: available parallelism)
+//! * `--threads k` — threads running cells (default: available parallelism)
 //! * `--csv path|-` / `--json path|-` — emit the report (`-` = stdout)
 //! * `--no-header` — omit the CSV header line, so `--cells` shard
 //!   outputs concatenate into the full sweep's CSV verbatim
@@ -92,12 +92,12 @@
 use std::io::Write;
 use std::process::exit;
 
-use arsf_bench::cli::{grid_from_args, grid_mode_requested, parse_cells};
+use arsf_bench::cli::{grid_from_args, grid_mode_requested, parse_cells, sweeper_from_args};
 use arsf_bench::drive::{Fnv64, Frame};
 use arsf_bench::{arg_value, baseline_ops, has_flag, TextTable};
 use arsf_core::scenario::registry;
 use arsf_core::sweep::store::{grid_address, Baseline};
-use arsf_core::sweep::{ParallelSweeper, StreamingSweeper, SweepGrid, SweepReport};
+use arsf_core::sweep::{StreamingSweeper, SweepGrid, SweepReport};
 
 fn fail(message: &str) -> ! {
     eprintln!("scenario_sweep: {message}");
@@ -112,7 +112,7 @@ fn parsed<T>(result: Result<T, String>) -> T {
 /// Row frames stream as cells finish (stdout is line-buffered), so a
 /// `sweep_drive` coordinator sees live progress and the shard runs in
 /// constant memory whatever its size.
-fn stream_mode(threads: usize) -> ! {
+fn stream_mode(sweeper: &StreamingSweeper) -> ! {
     if !grid_mode_requested() {
         fail("--stream needs grid mode (pass at least one axis flag or --golden)");
     }
@@ -158,7 +158,7 @@ fn stream_mode(threads: usize) -> ! {
     }
     let mut hash = Fnv64::default();
     let mut emitted = 0usize;
-    let result = StreamingSweeper::new(threads).try_stream_range(&grid, cells, |row| {
+    let result = sweeper.try_stream_range(&grid, cells, |row| {
         let csv = row.to_csv_line();
         hash.update(csv.as_bytes());
         hash.update(b"\n");
@@ -190,14 +190,10 @@ fn stream_mode(threads: usize) -> ! {
 
 fn main() {
     let rounds_override: Option<u64> = arg_value("--rounds").and_then(|s| s.parse().ok());
-    let sweeper = match arg_value("--threads").map(|s| s.parse::<usize>()) {
-        None => ParallelSweeper::auto(),
-        Some(Ok(threads)) if threads > 0 => ParallelSweeper::new(threads),
-        Some(_) => fail("--threads wants a positive integer"),
-    };
+    let sweeper = parsed(sweeper_from_args());
 
     if has_flag("--stream") {
-        stream_mode(sweeper.threads());
+        stream_mode(&sweeper);
     }
 
     // Any grid-shaping flag (including --honest and the closed-loop

@@ -35,7 +35,7 @@
 //! * `--grid name` — restrict record/check to one golden grid
 //!   (`open-loop-48`, `table2-closed-loop`; default: all)
 //! * `--dir path` — the baseline directory (default `baselines`)
-//! * `--threads k` — worker threads (default: available parallelism;
+//! * `--threads k` — threads running cells (default: available parallelism;
 //!   the report is byte-identical at any thread count)
 //! * `--tol col=abs[:rel],…` — per-column tolerances (column families
 //!   may be named without an index, e.g. `vehicle_mean_widths=1e-9`).
@@ -48,23 +48,15 @@ use std::process::exit;
 use arsf_analyze::{
     analyze_grid_guarantees, detection_vacuous, vet_baseline_dominance, AnalyzeGrid, Severity,
 };
-use arsf_bench::cli::parse_tolerances;
+use arsf_bench::cli::{parse_tolerances, sweeper_from_args};
 use arsf_bench::{arg_value, golden, has_flag};
 use arsf_core::sweep::diff::{diff, DiffConfig, SweepDiff};
 use arsf_core::sweep::store::{baseline_path, grid_address, Baseline, StoreError};
-use arsf_core::sweep::{ParallelSweeper, SweepGrid};
+use arsf_core::sweep::{StreamingSweeper, SweepGrid};
 
 fn fail(message: &str) -> ! {
     eprintln!("sweep_diff: {message}");
     exit(2);
-}
-
-fn sweeper() -> ParallelSweeper {
-    match arg_value("--threads").map(|s| s.parse::<usize>()) {
-        None => ParallelSweeper::auto(),
-        Some(Ok(threads)) if threads > 0 => ParallelSweeper::new(threads),
-        Some(_) => fail("--threads wants a positive integer"),
-    }
 }
 
 fn diff_config() -> DiffConfig {
@@ -98,12 +90,12 @@ fn grids() -> Vec<(&'static str, SweepGrid)> {
     }
 }
 
-fn run_baseline(grid: &SweepGrid, sweeper: &ParallelSweeper) -> Baseline {
+fn run_baseline(grid: &SweepGrid, sweeper: &StreamingSweeper) -> Baseline {
     Baseline::from_report(grid, &sweeper.run(grid))
 }
 
 fn record(dir: &str) {
-    let sweeper = sweeper();
+    let sweeper = sweeper_from_args().unwrap_or_else(|e| fail(&e));
     for (name, grid) in grids() {
         // The same guard `scenario_sweep --baseline record` applies: a
         // grid with error-severity lint findings must not be frozen.
@@ -186,7 +178,7 @@ fn record(dir: &str) {
 }
 
 fn check(dir: &str) {
-    let sweeper = sweeper();
+    let sweeper = sweeper_from_args().unwrap_or_else(|e| fail(&e));
     let config = diff_config();
     // A missing or unreadable baseline is breakage (exit 2), not drift
     // (exit 1): CI must not mistake "nothing to compare against" for

@@ -10,7 +10,7 @@ use arsf_core::scenario::{
     AttackerSpec, ClosedLoopSpec, FuserSpec, Scenario, StrategySpec, SuiteSpec,
 };
 use arsf_core::sweep::diff::Tolerance;
-use arsf_core::sweep::SweepGrid;
+use arsf_core::sweep::{StreamingSweeper, SweepGrid};
 use arsf_core::DetectionMode;
 use arsf_schedule::SchedulePolicy;
 use arsf_sensor::{FaultKind, FaultModel};
@@ -384,6 +384,23 @@ const AXIS_FLAGS: [&str; 10] = [
     "--cells",
     "--f",
 ];
+
+/// The sweep executor `--threads k` asks for: `k` threads, or the
+/// machine's available parallelism when the flag is absent.
+///
+/// # Errors
+///
+/// Returns a message naming the flag when its value is not a positive
+/// integer.
+pub fn sweeper_from_args() -> Result<StreamingSweeper, String> {
+    match crate::arg_value("--threads") {
+        None => Ok(StreamingSweeper::auto()),
+        Some(value) => match value.parse::<usize>() {
+            Ok(threads) if threads > 0 => Ok(StreamingSweeper::new(threads)),
+            _ => Err(format!("--threads wants a positive integer, got `{value}`")),
+        },
+    }
+}
 
 /// The value flags that imply closed-loop execution.
 const CLOSED_LOOP_FLAGS: [&str; 3] = ["--target", "--deltas", "--platoon"];

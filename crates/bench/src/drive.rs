@@ -728,7 +728,6 @@ pub fn baseline_from_rows(grid: &SweepGrid, lines: &[String]) -> Result<Baseline
 mod tests {
     use super::*;
     use crate::golden;
-    use arsf_core::sweep::ParallelSweeper;
 
     #[test]
     fn incremental_fnv_matches_content_address() {
@@ -961,9 +960,7 @@ mod tests {
     #[test]
     fn baseline_from_csv_rows_equals_baseline_from_report() {
         for (name, grid) in golden::all() {
-            // Shrink the grids so the test stays fast; the shape (open-
-            // vs closed-loop, platoon columns) is what matters.
-            let report = ParallelSweeper::new(2).run_range(&grid, 0..grid.len().min(6));
+            let report = grid.run_serial();
             let lines: Vec<String> = report.rows().iter().map(|r| r.to_csv_line()).collect();
             let mut rebuilt_rows = Vec::new();
             for line in &lines {

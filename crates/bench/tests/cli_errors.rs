@@ -161,6 +161,27 @@ fn unknown_golden_names_list_the_known_grids() {
 }
 
 #[test]
+fn every_sweeping_binary_rejects_a_bad_thread_count() {
+    let binaries: [(&str, &[&str]); 4] = [
+        (env!("CARGO_BIN_EXE_scenario_sweep"), &[]),
+        (env!("CARGO_BIN_EXE_sweep_diff"), &["check"]),
+        (env!("CARGO_BIN_EXE_throughput_gate"), &[]),
+        (env!("CARGO_BIN_EXE_repro_table1"), &[]),
+    ];
+    for (exe, command) in binaries {
+        for bad in ["0", "x"] {
+            let args = [command, &["--threads", bad]].concat();
+            let (code, stderr) = run(exe, &args);
+            assert_eq!(code, 2, "{exe} --threads {bad}: {stderr}");
+            assert!(
+                stderr.contains(&format!("--threads wants a positive integer, got `{bad}`")),
+                "{exe}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
 fn sweep_drive_requires_grid_mode() {
     let (code, stderr) = run_sweep_drive(&[]);
     assert_eq!(code, 2, "no grid flags is a usage error: {stderr}");

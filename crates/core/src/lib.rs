@@ -24,7 +24,7 @@
 //! * [`ScenarioRunner`] — batch execution of scenarios into preallocated
 //!   outcome buffers, with [`BatchSummary`] aggregation,
 //! * [`sweep`] — cartesian scenario grids ([`SweepGrid`]) executed
-//!   serially or across scoped worker threads ([`ParallelSweeper`]) into
+//!   serially or across scoped threads ([`StreamingSweeper`]) into
 //!   deterministic, grid-ordered [`SweepReport`]s with CSV/JSON emission;
 //!   [`sweep::store`] persists reports content-addressed by their grid
 //!   definition and [`sweep::diff`] compares two stored reports cell by
@@ -90,4 +90,4 @@ pub use config::{DetectionMode, PipelineConfig};
 pub use pipeline::{FusionPipeline, PipelineBuilder, RoundOutcome};
 pub use runner::{run_all, BatchSummary, ScenarioRunner};
 pub use scenario::Scenario;
-pub use sweep::{ParallelSweeper, SweepGrid, SweepReport};
+pub use sweep::{StreamingSweeper, SweepGrid, SweepReport};

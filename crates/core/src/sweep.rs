@@ -11,15 +11,18 @@
 //!   RNG seed is derived deterministically from the seed-axis value and
 //!   the cell index ([`derive_seed`]), so any cell is reproducible in
 //!   isolation: `grid.scenario(i)` always denotes the same experiment.
-//! * [`ParallelSweeper`] — shards grid cells across
-//!   [`std::thread::scope`] workers. Each worker owns one reusable
-//!   [`RoundOutcome`] buffer and builds its own engines from the cell's
-//!   specs (the [`FuserSpec`](crate::scenario::FuserSpec) /
+//!   [`SweepGrid::run_serial`] runs every cell on the calling thread —
+//!   the reference every other execution path must reproduce.
+//! * [`StreamingSweeper`] — the executor. It runs cells on
+//!   [`std::thread::scope`] threads (the calling thread included), each
+//!   owning one reusable [`RoundOutcome`] buffer and building its own
+//!   engines from the cell's specs (the
+//!   [`FuserSpec`](crate::scenario::FuserSpec) /
 //!   [`DetectionMode`](crate::DetectionMode) factories make per-thread
-//!   cloning trivial), so no synchronisation happens inside a cell.
-//!   Per-worker results are merged back in **grid order**: the parallel
-//!   report is byte-identical to the serial one regardless of thread
-//!   interleaving.
+//!   cloning trivial), so no synchronisation happens inside a cell. Rows
+//!   reach a sink in **grid order** as cells finish, through a bounded
+//!   reorder window; collected, they are byte-identical to the serial
+//!   report regardless of thread interleaving.
 //! * [`SweepReport`] — the ordered rows with CSV ([`SweepReport::to_csv`])
 //!   and JSON ([`SweepReport::to_json`]) emission for downstream tooling.
 //!
@@ -27,7 +30,7 @@
 //!
 //! ```
 //! use arsf_core::scenario::{AttackerSpec, FuserSpec, Scenario, StrategySpec, SuiteSpec};
-//! use arsf_core::sweep::{ParallelSweeper, SweepGrid};
+//! use arsf_core::sweep::{StreamingSweeper, SweepGrid};
 //! use arsf_core::DetectionMode;
 //! use arsf_schedule::SchedulePolicy;
 //!
@@ -44,7 +47,7 @@
 //! assert_eq!(grid.len(), 8);
 //!
 //! let serial = grid.run_serial();
-//! let parallel = ParallelSweeper::new(4).run(&grid);
+//! let parallel = StreamingSweeper::new(4).run(&grid);
 //! assert_eq!(serial, parallel);
 //! assert_eq!(serial.to_csv(), parallel.to_csv());
 //! ```
@@ -55,8 +58,8 @@ pub mod stream;
 
 pub use stream::StreamingSweeper;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
+/// The former name of [`StreamingSweeper`], still named by `perfbench/`.
+pub type ParallelSweeper = StreamingSweeper;
 
 use arsf_schedule::SchedulePolicy;
 use arsf_sensor::FaultModel;
@@ -691,7 +694,9 @@ fn csv_field(raw: &str) -> String {
     }
 }
 
-fn json_string(raw: &str) -> String {
+/// Renders `raw` as a quoted JSON string, escaping quotes, backslashes
+/// and control characters.
+pub fn json_string(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len() + 2);
     out.push('"');
     for c in raw.chars() {
@@ -707,147 +712,6 @@ fn json_string(raw: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Shards sweep cells across scoped worker threads.
-///
-/// Workers pull cell indices from a shared atomic counter (dynamic load
-/// balancing — expensive cells do not stall a static shard), build their
-/// own per-thread engines from the cell's declarative specs, and reuse
-/// one [`RoundOutcome`] buffer each. Results carry their cell index, so
-/// the merged [`SweepReport`] is in grid order and byte-identical to
-/// [`SweepGrid::run_serial`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelSweeper {
-    threads: usize,
-}
-
-impl ParallelSweeper {
-    /// Creates a sweeper with a fixed worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn new(threads: usize) -> Self {
-        assert!(threads > 0, "a sweep needs at least one worker");
-        Self { threads }
-    }
-
-    /// A sweeper sized to the machine's available parallelism (1 when
-    /// that cannot be determined).
-    pub fn auto() -> Self {
-        Self::new(thread::available_parallelism().map_or(1, |n| n.get()))
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs every grid cell; rows come back in grid order.
-    pub fn run(&self, grid: &SweepGrid) -> SweepReport {
-        self.run_indexed(0..grid.len(), &|i| grid.scenario(i))
-    }
-
-    /// Runs a contiguous **cell range** of a grid — the shard one process
-    /// takes when a sweep is split across machines. Rows keep their
-    /// *grid* cell indices and derived seeds, so concatenating the
-    /// reports of `0..k` and `k..len` reproduces `run` byte-for-byte and
-    /// any shard is reproducible in isolation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range end exceeds the grid length.
-    pub fn run_range(&self, grid: &SweepGrid, range: std::ops::Range<usize>) -> SweepReport {
-        assert!(
-            range.end <= grid.len(),
-            "cell range {}..{} exceeds the {}-cell grid",
-            range.start,
-            range.end,
-            grid.len()
-        );
-        self.run_indexed(range, &|i| grid.scenario(i))
-    }
-
-    /// Runs an explicit scenario list (cell `i` = `scenarios[i]`, used
-    /// verbatim — no per-cell seed derivation); rows come back in list
-    /// order. This is the entry point for non-cartesian sweeps such as
-    /// the preset registry.
-    pub fn run_scenarios(&self, scenarios: &[Scenario]) -> SweepReport {
-        self.run_indexed(0..scenarios.len(), &|i| scenarios[i].clone())
-    }
-
-    fn run_indexed(
-        &self,
-        range: std::ops::Range<usize>,
-        cell_at: &(dyn Fn(usize) -> Scenario + Sync),
-    ) -> SweepReport {
-        let start = range.start;
-        let n = range.len();
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            let mut buffer = RoundOutcome::default();
-            let rows = range
-                .map(|index| {
-                    run_cell(
-                        SweepCell {
-                            index,
-                            scenario: cell_at(index),
-                        },
-                        &mut buffer,
-                    )
-                })
-                .collect();
-            return SweepReport { rows };
-        }
-
-        let next = AtomicUsize::new(0);
-        let per_worker: Vec<Vec<SweepRow>> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut rows = Vec::new();
-                        let mut buffer = RoundOutcome::default();
-                        loop {
-                            let offset = next.fetch_add(1, Ordering::Relaxed);
-                            if offset >= n {
-                                break;
-                            }
-                            let index = start + offset;
-                            rows.push(run_cell(
-                                SweepCell {
-                                    index,
-                                    scenario: cell_at(index),
-                                },
-                                &mut buffer,
-                            ));
-                        }
-                        rows
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        });
-
-        // Merge per-worker batches back into grid order.
-        let mut slots: Vec<Option<SweepRow>> = (0..n).map(|_| None).collect();
-        for rows in per_worker {
-            for row in rows {
-                let slot = &mut slots[row.cell - start];
-                debug_assert!(slot.is_none(), "cell {} ran twice", row.cell);
-                *slot = Some(row);
-            }
-        }
-        SweepReport {
-            rows: slots
-                .into_iter()
-                .map(|r| r.expect("every cell ran exactly once"))
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -983,31 +847,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_report_is_byte_identical_to_serial() {
-        let grid = full_grid(30);
-        let serial = grid.run_serial();
-        for threads in [2, 3, 4, 8] {
-            let parallel = ParallelSweeper::new(threads).run(&grid);
-            assert_eq!(serial, parallel, "{threads} workers diverged");
-            assert_eq!(serial.to_csv(), parallel.to_csv());
-            assert_eq!(serial.to_json(), parallel.to_json());
-        }
-    }
-
-    #[test]
     fn run_scenarios_preserves_list_order() {
         let mut presets = crate::scenario::registry();
         for p in &mut presets {
             p.rounds = 20;
         }
-        let report = ParallelSweeper::new(4).run_scenarios(&presets);
+        let report = StreamingSweeper::new(4).run_scenarios(&presets);
         assert_eq!(report.len(), presets.len());
         for (row, preset) in report.rows().iter().zip(&presets) {
             assert_eq!(row.summary.scenario, preset.name);
             assert_eq!(row.seed, preset.seed, "explicit scenarios keep their seed");
+            assert_eq!(row.summary, ScenarioRunner::new(preset).run());
         }
-        let serial = ParallelSweeper::new(1).run_scenarios(&presets);
-        assert_eq!(serial, report);
     }
 
     #[test]
@@ -1087,7 +938,7 @@ mod tests {
     fn cell_ranges_shard_the_grid_reproducibly() {
         let grid = full_grid(20);
         let full = grid.run_serial();
-        let sweeper = ParallelSweeper::new(3);
+        let sweeper = StreamingSweeper::new(3);
         let a = sweeper.run_range(&grid, 0..17);
         let b = sweeper.run_range(&grid, 17..48);
         assert_eq!(a.len(), 17);
@@ -1110,7 +961,7 @@ mod tests {
     #[should_panic(expected = "exceeds the 48-cell grid")]
     fn out_of_bounds_cell_range_panics() {
         let grid = full_grid(5);
-        let _ = ParallelSweeper::new(1).run_range(&grid, 40..49);
+        let _ = StreamingSweeper::new(1).run_range(&grid, 40..49);
     }
 
     #[test]
@@ -1229,13 +1080,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_panics() {
-        let _ = ParallelSweeper::new(0);
+    #[should_panic(expected = "at least one thread")]
+    fn zero_threads_panics() {
+        let _ = StreamingSweeper::new(0);
     }
 
     #[test]
-    fn auto_sweeper_has_at_least_one_worker() {
-        assert!(ParallelSweeper::auto().threads() >= 1);
+    fn auto_sweeper_has_at_least_one_thread() {
+        assert!(StreamingSweeper::auto().threads() >= 1);
     }
 }

@@ -12,14 +12,14 @@
 //! Since the closed-loop redesign this engine is a thin aggregation over
 //! the deterministic sweep grid: [`sweep_grid`] lays the three schedules
 //! × `replicates` Monte Carlo seeds out as closed-loop cells,
-//! [`report`] executes them (serial or sharded across
-//! [`ParallelSweeper`] workers — byte-identical either way), and
+//! [`report`] executes them (on one thread or several through
+//! [`StreamingSweeper`] — byte-identical either way), and
 //! [`run_all`] pools each schedule's replicate rows into the
 //! paper-facing [`Table2Row`]s. Any cell can be re-run in isolation via
 //! `sweep_grid(..).scenario(i)`.
 
 use arsf_core::scenario::{AttackerSpec, ClosedLoopSpec, FuserSpec, Scenario, SuiteSpec};
-use arsf_core::sweep::{ParallelSweeper, SweepGrid, SweepReport};
+use arsf_core::sweep::{StreamingSweeper, SweepGrid, SweepReport};
 use arsf_schedule::SchedulePolicy;
 
 /// Configuration for a Table II run.
@@ -37,7 +37,7 @@ pub struct Table2Config {
     pub seed: u64,
     /// Monte Carlo replicates per schedule (seed-axis length).
     pub replicates: usize,
-    /// Worker threads executing the grid.
+    /// Threads running the grid's cells (the calling thread included).
     pub threads: usize,
     /// Optional dynamics-aware historical-fusion defence: when set, every
     /// cell fuses with the Historical fuser under this `max_rate` bound
@@ -116,7 +116,7 @@ fn grid_over(
 /// Executes the Table II grid and returns the raw per-cell sweep report
 /// (grid-ordered; byte-identical for any [`Table2Config::threads`]).
 pub fn report(config: &Table2Config) -> SweepReport {
-    ParallelSweeper::new(config.threads.max(1)).run(&sweep_grid(config))
+    StreamingSweeper::new(config.threads.max(1)).run(&sweep_grid(config))
 }
 
 /// Pools one schedule's replicate rows out of a report into a
@@ -155,7 +155,7 @@ fn pool(report: &SweepReport, schedule: &SchedulePolicy) -> Table2Row {
 /// though both reproduce the paper's rates.
 pub fn run_schedule(policy: SchedulePolicy, config: &Table2Config) -> Table2Row {
     let report =
-        ParallelSweeper::new(config.threads.max(1)).run(&grid_over(config, [policy.clone()]));
+        StreamingSweeper::new(config.threads.max(1)).run(&grid_over(config, [policy.clone()]));
     pool(&report, &policy)
 }
 

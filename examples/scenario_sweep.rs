@@ -1,7 +1,7 @@
 //! The sweep subsystem in one example: a scenario grid — four fusion
 //! algorithms × three detectors × two schedules, every combination a
-//! lazily-materialised `Scenario` — sharded across scoped worker
-//! threads, with the parallel report byte-identical to the serial run;
+//! lazily-materialised `Scenario` — run across threads by the
+//! `StreamingSweeper`, with the report byte-identical to the serial run;
 //! then the same machinery driving Table II's **closed-loop** cells (a
 //! LandShark inside its control loop, any sensor attackable).
 //!
@@ -10,7 +10,7 @@
 use arsf::core::scenario::{
     AttackerSpec, ClosedLoopSpec, FuserSpec, Scenario, StrategySpec, SuiteSpec,
 };
-use arsf::core::sweep::{ParallelSweeper, SweepGrid};
+use arsf::core::sweep::{StreamingSweeper, SweepGrid};
 use arsf::core::DetectionMode;
 use arsf::schedule::SchedulePolicy;
 
@@ -41,16 +41,13 @@ fn main() {
         ])
         .schedules([SchedulePolicy::Ascending, SchedulePolicy::Descending]);
 
-    let sweeper = ParallelSweeper::auto();
+    let sweeper = StreamingSweeper::auto();
     println!(
         "Grid sweep: {} cells (4 fusers x 3 detectors x 2 schedules),",
         grid.len()
     );
     println!("LandShark @ 10 mph, encoder 0 compromised (phantom-optimal),");
-    println!(
-        "2000 rounds per cell, {} worker thread(s)\n",
-        sweeper.threads()
-    );
+    println!("2000 rounds per cell, {} thread(s)\n", sweeper.threads());
 
     let report = sweeper.run(&grid);
 
