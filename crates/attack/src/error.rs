@@ -22,6 +22,14 @@ pub enum AttackError {
     /// truth-containing correct intervals this cannot happen; it indicates
     /// an inconsistent configuration.
     NoFeasiblePlacement,
+    /// More attacked intervals than the exact lattice solver enumerates
+    /// (its cost grows as the `fa`-th power of the lattice size).
+    SolverCapacity {
+        /// Number of attacked intervals.
+        fa: usize,
+        /// The most the solver accepts.
+        max: usize,
+    },
 }
 
 impl fmt::Display for AttackError {
@@ -35,6 +43,10 @@ impl fmt::Display for AttackError {
             AttackError::NoFeasiblePlacement => {
                 write!(f, "correct intervals never reach the residual coverage; no stealthy placement exists")
             }
+            AttackError::SolverCapacity { fa, max } => write!(
+                f,
+                "{fa} attacked intervals exceed the lattice solver's capacity of {max}"
+            ),
         }
     }
 }
@@ -51,6 +63,8 @@ mod tests {
         assert!(e.to_string().contains("unbounded"));
         assert!(!AttackError::NoCorrectIntervals.to_string().is_empty());
         assert!(!AttackError::NoFeasiblePlacement.to_string().is_empty());
+        let capacity = AttackError::SolverCapacity { fa: 5, max: 4 };
+        assert!(capacity.to_string().contains("capacity of 4"));
     }
 
     #[test]

@@ -26,10 +26,10 @@
 //! `n − f − 1` mutually-intersecting intervals, which places that point
 //! inside the fusion interval — the paper's Section III-A argument.
 
-use arsf_interval::ops::intersection_all;
+use arsf_interval::ops::intersection_of;
 use arsf_interval::Interval;
 
-use crate::full_knowledge::optimal_attack;
+use crate::full_knowledge::LatticeSolver;
 use crate::model::{AttackMode, AttackStrategy, SlotContext};
 
 /// Which direction a one-sided policy extends towards.
@@ -51,6 +51,13 @@ pub enum Side {
 /// evenly between the two envelope bounds instead of always favouring
 /// one side.
 ///
+/// When the solver has no answer — more attacked widths still to place
+/// than its [`MAX_ATTACKED`](crate::full_knowledge::MAX_ATTACKED), or an
+/// unbounded or infeasible problem — the proposal is the sensor's correct
+/// reading, clamped like any other. The strategy keeps its solver and
+/// work buffers between forges, so a warm strategy forges without
+/// allocating.
+///
 /// # Example
 ///
 /// ```
@@ -63,6 +70,12 @@ pub enum Side {
 #[derive(Debug, Clone, Default)]
 pub struct PhantomOptimal {
     mirror: bool,
+    /// Reused across forges, like the two buffers below.
+    solver: LatticeSolver,
+    /// Seen intervals and phantoms, reflected on mirrored forges.
+    world: Vec<Interval<f64>>,
+    /// This slot's width followed by the attacker's later widths.
+    widths: Vec<f64>,
 }
 
 impl PhantomOptimal {
@@ -74,13 +87,19 @@ impl PhantomOptimal {
 
 impl AttackStrategy for PhantomOptimal {
     fn forge(&mut self, ctx: &SlotContext<'_>) -> Interval<f64> {
+        // Alternate the solve axis so equal-width optima on the two
+        // frontiers are chosen evenly across rounds.
+        self.mirror = !self.mirror;
+        let mirror = self.mirror;
+        let axis = |s: Interval<f64>| if mirror { mirror_interval(s) } else { s };
+
         let estimate = ctx.delta.midpoint();
-        let seen_sensors: Vec<usize> = ctx.seen.iter().map(|(s, _)| *s).collect();
         let mut unseen_correct = 0usize;
-        let mut world: Vec<Interval<f64>> = ctx.seen.iter().map(|(_, iv)| *iv).collect();
+        self.world.clear();
+        self.world.extend(ctx.seen.iter().map(|(_, iv)| axis(*iv)));
         for sensor in 0..ctx.n {
             if sensor == ctx.sensor
-                || seen_sensors.contains(&sensor)
+                || ctx.seen.iter().any(|(s, _)| *s == sensor)
                 || ctx.compromised.contains(&sensor)
             {
                 continue;
@@ -90,26 +109,16 @@ impl AttackStrategy for PhantomOptimal {
             unseen_correct += 1;
             let width = ctx.all_widths.get(sensor).copied().unwrap_or(ctx.width);
             if let Ok(phantom) = Interval::centered(estimate, width * 0.5) {
-                world.push(phantom);
+                self.world.push(axis(phantom));
             }
         }
-        let mut widths = vec![ctx.width];
-        widths.extend_from_slice(ctx.future_own_widths);
+        self.widths.clear();
+        self.widths.push(ctx.width);
+        self.widths.extend_from_slice(ctx.future_own_widths);
 
-        // Alternate the solve axis so equal-width optima on the two
-        // frontiers are chosen evenly across rounds.
-        self.mirror = !self.mirror;
-        let proposal = if self.mirror {
-            let mirrored: Vec<Interval<f64>> = world.iter().map(|s| mirror_interval(*s)).collect();
-            match optimal_attack(&mirrored, &widths, ctx.f) {
-                Ok(attack) => mirror_interval(attack.placements[0]),
-                Err(_) => ctx.own_correct,
-            }
-        } else {
-            match optimal_attack(&world, &widths, ctx.f) {
-                Ok(attack) => attack.placements[0],
-                Err(_) => ctx.own_correct,
-            }
+        let proposal = match self.solver.solve(&self.world, &self.widths, ctx.f) {
+            Ok(solution) => axis(solution.placements()[0]),
+            Err(_) => ctx.own_correct,
         };
         constrain(proposal, ctx, unseen_correct == 0)
     }
@@ -186,13 +195,12 @@ fn constrain(proposal: Interval<f64>, ctx: &SlotContext<'_>, exact: bool) -> Int
     match ctx.mode {
         AttackMode::Active if exact => proposal,
         AttackMode::Active => {
-            let seen_correct: Vec<Interval<f64>> = ctx
+            let seen_correct = ctx
                 .seen
                 .iter()
                 .filter(|(s, _)| !ctx.compromised.contains(s))
-                .map(|(_, iv)| *iv)
-                .collect();
-            let anchor = intersection_all(&seen_correct).unwrap_or(ctx.delta);
+                .map(|(_, iv)| *iv);
+            let anchor = intersection_of(seen_correct).unwrap_or(ctx.delta);
             shift_to_touch(proposal, &anchor, ctx)
         }
         AttackMode::Passive => shift_to_contain(proposal, &ctx.delta, ctx),
@@ -445,6 +453,188 @@ mod tests {
         // Already touching: unchanged.
         let touching = iv(0.5, 2.5);
         assert_eq!(shift_to_touch(touching, &anchor, &c), touching);
+    }
+
+    /// [`PhantomOptimal`]'s policy built the plain way: a fresh world, a
+    /// separately mirrored copy, the fuse-based reference solver and a
+    /// collected seen-correct intersection.
+    struct ReferenceForge {
+        mirror: bool,
+    }
+
+    impl ReferenceForge {
+        fn forge(&mut self, ctx: &SlotContext<'_>) -> Interval<f64> {
+            use crate::full_knowledge::reference_attack;
+            use arsf_interval::ops::intersection_all;
+
+            let estimate = ctx.delta.midpoint();
+            let seen_sensors: Vec<usize> = ctx.seen.iter().map(|(s, _)| *s).collect();
+            let mut unseen_correct = 0usize;
+            let mut world: Vec<Interval<f64>> = ctx.seen.iter().map(|(_, iv)| *iv).collect();
+            for sensor in 0..ctx.n {
+                if sensor == ctx.sensor
+                    || seen_sensors.contains(&sensor)
+                    || ctx.compromised.contains(&sensor)
+                {
+                    continue;
+                }
+                unseen_correct += 1;
+                let width = ctx.all_widths.get(sensor).copied().unwrap_or(ctx.width);
+                if let Ok(phantom) = Interval::centered(estimate, width * 0.5) {
+                    world.push(phantom);
+                }
+            }
+            let mut widths = vec![ctx.width];
+            widths.extend_from_slice(ctx.future_own_widths);
+            self.mirror = !self.mirror;
+            let proposal = if self.mirror {
+                let mirrored: Vec<Interval<f64>> =
+                    world.iter().map(|s| mirror_interval(*s)).collect();
+                match reference_attack(&mirrored, &widths, ctx.f) {
+                    Ok(attack) => mirror_interval(attack.placements[0]),
+                    Err(_) => ctx.own_correct,
+                }
+            } else {
+                match reference_attack(&world, &widths, ctx.f) {
+                    Ok(attack) => attack.placements[0],
+                    Err(_) => ctx.own_correct,
+                }
+            };
+            match ctx.mode {
+                AttackMode::Active if unseen_correct > 0 => {
+                    let seen_correct: Vec<Interval<f64>> = ctx
+                        .seen
+                        .iter()
+                        .filter(|(s, _)| !ctx.compromised.contains(s))
+                        .map(|(_, iv)| *iv)
+                        .collect();
+                    let anchor = intersection_all(&seen_correct).unwrap_or(ctx.delta);
+                    shift_to_touch(proposal, &anchor, ctx)
+                }
+                _ => constrain(proposal, ctx, unseen_correct == 0),
+            }
+        }
+    }
+
+    /// The owned data behind one random [`SlotContext`]: `n ∈ 3..=7`
+    /// sensors with small grid widths (zero included) whose readings
+    /// contain the truth 0, `fa ≤ 2` but up to `f + 1` (so some solves
+    /// are unbounded and take the fallback), and earlier compromised
+    /// slots already forged.
+    struct RandomSlot {
+        order: TransmissionOrder,
+        seen: Vec<(usize, Interval<f64>)>,
+        slot: usize,
+        sensor: usize,
+        widths: Vec<f64>,
+        own_correct: Interval<f64>,
+        delta: Interval<f64>,
+        mode: AttackMode,
+        f: usize,
+        future: Vec<f64>,
+        compromised: Vec<usize>,
+    }
+
+    impl RandomSlot {
+        fn draw(rng: &mut rand::rngs::StdRng) -> Self {
+            use rand::seq::SliceRandom;
+            use rand::Rng;
+
+            let unit = [1.0, 0.1, 0.25][rng.gen_range(0..3)];
+            let n = rng.gen_range(3..=7_usize);
+            let f = rng.gen_range(0..=n.div_ceil(2) - 1);
+            let fa = rng.gen_range(1..=(f + 1).min(2));
+            let widths: Vec<f64> = (0..n)
+                .map(|_| rng.gen_range(0..=4_i64) as f64 * unit)
+                .collect();
+            let readings: Vec<Interval<f64>> = widths
+                .iter()
+                .map(|&w| {
+                    let below = rng.gen_range(0..=(w / unit) as i64) as f64 * unit;
+                    Interval::new(-below, w - below).unwrap()
+                })
+                .collect();
+            let mut sensors: Vec<usize> = (0..n).collect();
+            sensors.shuffle(rng);
+            let mut compromised = sensors[..fa].to_vec();
+            compromised.sort_unstable();
+            sensors.shuffle(rng);
+            let order = TransmissionOrder::new(sensors.clone()).unwrap();
+            let sensor = compromised[rng.gen_range(0..fa)];
+            let slot = sensors.iter().position(|&s| s == sensor).unwrap();
+            let seen = sensors[..slot]
+                .iter()
+                .map(|&s| {
+                    let sent = if compromised.contains(&s) {
+                        let lo = rng.gen_range(-4..=4_i64) as f64 * unit;
+                        Interval::new(lo, lo + widths[s]).unwrap()
+                    } else {
+                        readings[s]
+                    };
+                    (s, sent)
+                })
+                .collect();
+            let unsent = sensors[slot..]
+                .iter()
+                .filter(|s| compromised.contains(s))
+                .count();
+            let future = sensors[slot + 1..]
+                .iter()
+                .filter(|s| compromised.contains(s))
+                .map(|&s| widths[s])
+                .collect();
+            let own: Vec<Interval<f64>> = compromised.iter().map(|&s| readings[s]).collect();
+            Self {
+                order,
+                seen,
+                slot,
+                sensor,
+                own_correct: readings[sensor],
+                delta: crate::delta(&own).unwrap(),
+                mode: AttackMode::for_slot(slot, n, f, unsent),
+                f,
+                future,
+                compromised,
+                widths,
+            }
+        }
+
+        fn ctx(&self) -> SlotContext<'_> {
+            SlotContext {
+                order: &self.order,
+                slot: self.slot,
+                sensor: self.sensor,
+                width: self.widths[self.sensor],
+                seen: &self.seen,
+                delta: self.delta,
+                own_correct: self.own_correct,
+                mode: self.mode,
+                n: self.widths.len(),
+                f: self.f,
+                future_own_widths: &self.future,
+                compromised: &self.compromised,
+                all_widths: &self.widths,
+            }
+        }
+    }
+
+    #[test]
+    fn phantom_optimal_matches_the_reference_forge_bit_for_bit() {
+        use rand::SeedableRng;
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        let mut strategy = PhantomOptimal::new();
+        let mut reference = ReferenceForge { mirror: false };
+        for round in 0..400 {
+            let slot = RandomSlot::draw(&mut rng);
+            let ctx = slot.ctx();
+            let (got, want) = (strategy.forge(&ctx), reference.forge(&ctx));
+            assert_eq!(
+                [got.lo().to_bits(), got.hi().to_bits()],
+                [want.lo().to_bits(), want.hi().to_bits()],
+                "forge {round}: got {got:?}, reference {want:?} for {ctx:?}"
+            );
+        }
     }
 
     #[test]

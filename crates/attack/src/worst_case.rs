@@ -20,7 +20,7 @@
 
 use arsf_interval::Interval;
 
-use crate::full_knowledge::optimal_attack;
+use crate::full_knowledge::LatticeSolver;
 use crate::AttackError;
 
 /// A worst-case search result: the widest fusion interval found and the
@@ -128,14 +128,15 @@ pub fn attacked_worst_case(
 
     let mut best: Option<WorstCase> = None;
     let mut placement: Vec<Interval<f64>> = Vec::with_capacity(correct_widths.len());
+    let mut solver = LatticeSolver::new();
     enumerate_correct(&correct_widths, step, &mut placement, &mut |config| {
-        if let Ok(attack) = optimal_attack(config, &attacked_widths, f) {
-            let width = attack.width();
+        if let Ok(attack) = solver.solve(config, &attacked_widths, f) {
+            let width = attack.fusion.width();
             if best.as_ref().is_none_or(|b| width > b.width) {
                 best = Some(WorstCase {
                     width,
                     correct: config.to_vec(),
-                    attacked: attack.placements,
+                    attacked: attack.placements().to_vec(),
                 });
             }
         }

@@ -1,9 +1,10 @@
 //! The round engine, generic over the fusion algorithm and the detector.
 
 use arsf_attack::model::{AttackMode, AttackStrategy, SlotContext};
-use arsf_attack::{delta, AttackerConfig};
+use arsf_attack::AttackerConfig;
 use arsf_detect::{Detector, RoundAssessment};
 use arsf_fusion::{Fuser, FusionError, MarzulloFuser};
+use arsf_interval::ops::intersection_of;
 use arsf_interval::Interval;
 use arsf_schedule::TransmissionOrder;
 use arsf_sensor::{Measurement, SensorSuite};
@@ -148,6 +149,7 @@ impl<F: Fuser<f64>> PipelineBuilder<F> {
             widths,
             readings: Vec::with_capacity(n),
             intervals: Vec::with_capacity(n),
+            future_own_widths: Vec::new(),
             round: 0,
         }
     }
@@ -180,6 +182,8 @@ pub struct FusionPipeline<F: Fuser<f64> = MarzulloFuser> {
     readings: Vec<Measurement>,
     /// Scratch: this round's transmitted intervals, in slot order.
     intervals: Vec<Interval<f64>>,
+    /// Scratch: the widths of the attacker's slots after the current one.
+    future_own_widths: Vec<f64>,
     round: u64,
 }
 
@@ -285,10 +289,11 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
     }
 
     /// [`FusionPipeline::run_round`] writing into a reusable outcome
-    /// buffer: all result vectors are cleared and refilled in place. An
-    /// honest round performs no per-round allocation beyond the
-    /// schedule's order; attacked rounds additionally build small
-    /// per-slot context buffers for the strategy.
+    /// buffer: all result vectors are cleared and refilled in place. A
+    /// round performs no per-round allocation beyond the schedule's
+    /// order, attacked or not: the strategy's slot context borrows the
+    /// attacker configuration and pipeline-owned scratch, and the
+    /// built-in strategies allocate nothing once warm.
     pub fn run_round_into<R: Rng + ?Sized>(
         &mut self,
         truth: f64,
@@ -337,17 +342,9 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
         };
 
         // The attacker's Δ across her sensors' correct readings.
-        let (attacker_cfg, attacker_delta) = match &self.attacker {
-            Some((cfg, _)) => {
-                let own: Vec<Interval<f64>> = cfg
-                    .compromised()
-                    .iter()
-                    .filter_map(|&s| reading_of(s))
-                    .collect();
-                (Some(cfg.clone()), delta(&own))
-            }
-            None => (None, None),
-        };
+        let attacker_delta = self.attacker.as_ref().and_then(|(cfg, _)| {
+            intersection_of(cfg.compromised().iter().filter_map(|&s| reading_of(s)))
+        });
 
         let n = self.suite.len();
         let f = self.config.f();
@@ -359,53 +356,47 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
             let Some(correct_reading) = reading_of(sensor) else {
                 continue; // silenced by a fault this round
             };
-            let is_compromised = attacker_cfg
-                .as_ref()
-                .is_some_and(|cfg| cfg.controls(sensor));
-            let interval = if is_compromised {
-                let cfg = attacker_cfg.as_ref().expect("checked above");
-                let unsent_attacked = order
-                    .as_slice()
-                    .iter()
-                    .skip(slot)
-                    .filter(|&&s| cfg.controls(s))
-                    .count();
-                let future_own_widths: Vec<f64> = order
-                    .as_slice()
-                    .iter()
-                    .skip(slot + 1)
-                    .filter(|&&s| cfg.controls(s))
-                    .map(|&s| self.widths[s])
-                    .collect();
-                let mode = AttackMode::for_slot(out.transmitted.len(), n, f, unsent_attacked);
-                let ctx = SlotContext {
-                    order: &order,
-                    slot,
-                    sensor,
-                    width: self.widths[sensor],
-                    seen: &out.transmitted,
-                    delta: attacker_delta.unwrap_or(correct_reading),
-                    own_correct: correct_reading,
-                    mode,
-                    n,
-                    f,
-                    future_own_widths: &future_own_widths,
-                    compromised: cfg.compromised(),
-                    all_widths: &self.widths,
-                };
-                let strategy = &mut self
-                    .attacker
-                    .as_mut()
-                    .expect("attacker present on compromised slot")
-                    .1;
-                let forged = strategy.forge(&ctx);
-                debug_assert!(
-                    (forged.width() - self.widths[sensor]).abs() < 1e-9,
-                    "strategies must preserve the public interval width"
-                );
-                forged
-            } else {
-                correct_reading
+            let interval = match &mut self.attacker {
+                Some((cfg, strategy)) if cfg.controls(sensor) => {
+                    let unsent_attacked = order
+                        .as_slice()
+                        .iter()
+                        .skip(slot)
+                        .filter(|&&s| cfg.controls(s))
+                        .count();
+                    self.future_own_widths.clear();
+                    self.future_own_widths.extend(
+                        order
+                            .as_slice()
+                            .iter()
+                            .skip(slot + 1)
+                            .filter(|&&s| cfg.controls(s))
+                            .map(|&s| self.widths[s]),
+                    );
+                    let mode = AttackMode::for_slot(out.transmitted.len(), n, f, unsent_attacked);
+                    let ctx = SlotContext {
+                        order: &order,
+                        slot,
+                        sensor,
+                        width: self.widths[sensor],
+                        seen: &out.transmitted,
+                        delta: attacker_delta.unwrap_or(correct_reading),
+                        own_correct: correct_reading,
+                        mode,
+                        n,
+                        f,
+                        future_own_widths: &self.future_own_widths,
+                        compromised: cfg.compromised(),
+                        all_widths: &self.widths,
+                    };
+                    let forged = strategy.forge(&ctx);
+                    debug_assert!(
+                        (forged.width() - self.widths[sensor]).abs() < 1e-9,
+                        "strategies must preserve the public interval width"
+                    );
+                    forged
+                }
+                _ => correct_reading,
             };
             out.transmitted.push((sensor, interval));
         }

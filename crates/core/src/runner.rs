@@ -379,6 +379,26 @@ mod tests {
     }
 
     #[test]
+    fn more_attackers_than_the_lattice_solver_takes_run_to_completion() {
+        // 13 sensors, f = 6, PhantomOptimal on 5 of them: validation
+        // accepts it, and the early slots (five attacked widths to place)
+        // exceed the solver's capacity of 4, so those forges fall back to
+        // the correct reading instead of panicking.
+        let scenario = Scenario::new("thirteen", SuiteSpec::Widths(vec![1.0; 13]))
+            .with_f(6)
+            .with_attacker(AttackerSpec::Fixed {
+                sensors: vec![0, 1, 2, 3, 4],
+                strategy: StrategySpec::PhantomOptimal,
+            })
+            .with_rounds(4);
+        scenario.validate().expect("an accepted scenario");
+        let summary = ScenarioRunner::new(&scenario).run();
+        assert_eq!(summary.rounds, 4);
+        assert_eq!(summary.fusion_failures, 0);
+        assert_eq!(summary.truth_lost, 0, "fa = 5 <= f = 6 keeps the truth");
+    }
+
+    #[test]
     fn run_batch_reuses_and_resizes_buffers() {
         let mut runner = ScenarioRunner::new(&quick("batch"));
         let mut outcomes = Vec::new();

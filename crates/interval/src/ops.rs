@@ -31,9 +31,30 @@ use crate::{Interval, Scalar};
 /// # }
 /// ```
 pub fn intersection_all<T: Scalar>(intervals: &[Interval<T>]) -> Option<Interval<T>> {
-    let (first, rest) = intervals.split_first()?;
-    rest.iter()
-        .try_fold(*first, |acc, next| acc.intersection(next))
+    intersection_of(intervals.iter().copied())
+}
+
+/// [`intersection_all`] over any sequence of intervals, so a filtered
+/// view can be intersected without collecting it first.
+///
+/// # Example
+///
+/// ```
+/// use arsf_interval::{ops::intersection_of, Interval};
+///
+/// # fn main() -> Result<(), arsf_interval::IntervalError> {
+/// let xs = [Interval::new(0.0, 3.0)?, Interval::new(9.0, 9.5)?, Interval::new(2.0, 5.0)?];
+/// let near = xs.iter().copied().filter(|s| s.lo() < 5.0);
+/// assert_eq!(intersection_of(near), Some(Interval::new(2.0, 3.0)?));
+/// # Ok(())
+/// # }
+/// ```
+pub fn intersection_of<T: Scalar>(
+    intervals: impl IntoIterator<Item = Interval<T>>,
+) -> Option<Interval<T>> {
+    let mut intervals = intervals.into_iter();
+    let first = intervals.next()?;
+    intervals.try_fold(first, |acc, next| acc.intersection(&next))
 }
 
 /// The convex hull of all intervals in `intervals`, or `None` when the
