@@ -20,6 +20,7 @@
 use std::path::Path;
 
 use arsf_core::sweep::diff::DiffConfig;
+use arsf_core::sweep::schema::column_family;
 use arsf_core::sweep::store::{baseline_path, Baseline};
 
 use crate::{registry, sort_findings, Finding, Location, Severity};
@@ -199,14 +200,9 @@ pub fn tolerance_findings(config: &DiffConfig, baselines: &[&Baseline]) -> Vec<F
 }
 
 /// Whether a configured tolerance name covers a concrete metric column,
-/// exactly or as an indexed family prefix.
+/// exactly or as its indexed family.
 fn column_matches(configured: &str, column: &str) -> bool {
-    if configured == column {
-        return true;
-    }
-    column
-        .strip_prefix(configured)
-        .is_some_and(|rest| rest.starts_with('[') && rest.ends_with(']'))
+    configured == column || column_family(column) == Some(configured)
 }
 
 #[cfg(test)]

@@ -28,6 +28,7 @@
 //! as a `guarantee-violation` error.
 
 use arsf_core::scenario::{FuserSpec, Scenario, StaticModel};
+use arsf_core::sweep::schema::indexed_column;
 use arsf_core::sweep::store::Baseline;
 use arsf_core::sweep::SweepGrid;
 use arsf_fusion::bounds::{
@@ -502,8 +503,8 @@ pub fn vet_baseline_guarantees(
         if let Some(bound) = report.width_bound {
             let mut width_columns = vec!["max_width".to_string(), "mean_width".to_string()];
             for vehicle in 0..report.vehicles {
-                width_columns.push(format!("vehicle_max_widths[{vehicle}]"));
-                width_columns.push(format!("vehicle_mean_widths[{vehicle}]"));
+                width_columns.push(indexed_column("vehicle_max_widths", vehicle));
+                width_columns.push(indexed_column("vehicle_mean_widths", vehicle));
             }
             for column in &width_columns {
                 if let Some(Some(observed)) = record.metric(column) {
@@ -523,7 +524,7 @@ pub fn vet_baseline_guarantees(
         if report.truth_containment {
             let mut loss_columns = vec!["truth_lost".to_string(), "truth_loss_rate".to_string()];
             for vehicle in 0..report.vehicles {
-                loss_columns.push(format!("vehicle_truth_lost[{vehicle}]"));
+                loss_columns.push(indexed_column("vehicle_truth_lost", vehicle));
             }
             for column in &loss_columns {
                 if let Some(Some(observed)) = record.metric(column) {

@@ -95,8 +95,8 @@ mod lints;
 use std::fmt;
 use std::path::PathBuf;
 
+use arsf_core::json::json_string;
 use arsf_core::scenario::Scenario;
-use arsf_core::sweep::json_string;
 
 pub use baseline::{
     analyze_baseline_dir, analyze_baseline_file, tolerance_findings, BaselineContext,
@@ -298,45 +298,45 @@ pub fn exit_code(findings: &[Finding]) -> i32 {
 /// Renders findings for humans: one line per finding plus a summary
 /// tail (`clean` when there are none).
 pub fn render(findings: &[Finding]) -> String {
-    let mut out = String::new();
-    let mut errors = 0usize;
-    let mut warnings = 0usize;
-    let mut notes = 0usize;
-    for finding in findings {
-        match finding.severity {
-            Severity::Error => errors += 1,
-            Severity::Warn => warnings += 1,
-            Severity::Info => notes += 1,
-        }
-        out.push_str(&finding.render());
-        out.push('\n');
-    }
+    let mut out: String = findings.iter().map(|f| f.render() + "\n").collect();
     if findings.is_empty() {
         out.push_str("clean: no findings\n");
     } else {
-        out.push_str(&format!(
-            "{errors} error(s), {warnings} warning(s), {notes} note(s)\n"
-        ));
+        out.push_str(&tally(findings.iter()));
     }
     out
+}
+
+/// The `… error(s), … warning(s), … note(s)` summary line.
+fn tally<'a>(findings: impl Iterator<Item = &'a Finding> + Clone) -> String {
+    let count = |severity| findings.clone().filter(|f| f.severity == severity).count();
+    let (errors, warnings) = (count(Severity::Error), count(Severity::Warn));
+    let notes = count(Severity::Info);
+    format!("{errors} error(s), {warnings} warning(s), {notes} note(s)\n")
 }
 
 /// Renders findings as a JSON array (dependency-free; locations are
 /// pre-rendered strings, matching the human renderer).
 pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("[\n");
-    for (i, finding) in findings.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"lint\": {}, \"severity\": {}, \"location\": {}, \"message\": {}}}{}\n",
-            json_string(finding.lint),
-            json_string(finding.severity.label()),
-            json_string(&finding.location.to_string()),
-            json_string(&finding.message),
-            if i + 1 < findings.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n");
-    out
+    json_lines(findings.iter().map(|f| finding_json("", f)))
+}
+
+/// One finding as a JSON object whose leading members are `prefix`.
+fn finding_json(prefix: &str, finding: &Finding) -> String {
+    format!(
+        "{{{prefix}\"lint\": {}, \"severity\": {}, \"location\": {}, \"message\": {}}}",
+        json_string(finding.lint),
+        json_string(finding.severity.label()),
+        json_string(&finding.location.to_string()),
+        json_string(&finding.message),
+    )
+}
+
+/// A JSON array with one object per line.
+fn json_lines(objects: impl Iterator<Item = String>) -> String {
+    let lines: Vec<String> = objects.map(|o| format!("  {o}")).collect();
+    let tail = if lines.is_empty() { "" } else { "\n" };
+    format!("[\n{}{tail}]\n", lines.join(",\n"))
 }
 
 /// Renders labelled pass findings for humans: a `== pass ==` header per
@@ -344,17 +344,9 @@ pub fn render_json(findings: &[Finding]) -> String {
 /// overall summary tail — the text shape of `sweep_lint all`.
 pub fn render_passes(passes: &[(&str, Vec<Finding>)]) -> String {
     let mut out = String::new();
-    let mut errors = 0usize;
-    let mut warnings = 0usize;
-    let mut notes = 0usize;
     for (pass, findings) in passes {
         out.push_str(&format!("== {pass} ==\n"));
         for finding in findings {
-            match finding.severity {
-                Severity::Error => errors += 1,
-                Severity::Warn => warnings += 1,
-                Severity::Info => notes += 1,
-            }
             out.push_str(&finding.render());
             out.push('\n');
         }
@@ -362,9 +354,7 @@ pub fn render_passes(passes: &[(&str, Vec<Finding>)]) -> String {
             out.push_str("clean: no findings\n");
         }
     }
-    out.push_str(&format!(
-        "{errors} error(s), {warnings} warning(s), {notes} note(s)\n"
-    ));
+    out.push_str(&tally(passes.iter().flat_map(|(_, findings)| findings)));
     out
 }
 
@@ -373,26 +363,10 @@ pub fn render_passes(passes: &[(&str, Vec<Finding>)]) -> String {
 /// fields [`render_json`] emits, so downstream tooling can key on them
 /// across `sweep_lint` subcommands.
 pub fn render_json_passes(passes: &[(&str, Vec<Finding>)]) -> String {
-    let total: usize = passes.iter().map(|(_, f)| f.len()).sum();
-    let mut emitted = 0usize;
-    let mut out = String::from("[\n");
-    for (pass, findings) in passes {
-        for finding in findings {
-            emitted += 1;
-            out.push_str(&format!(
-                "  {{\"schema\": 1, \"pass\": {}, \"lint\": {}, \"severity\": {}, \
-                 \"location\": {}, \"message\": {}}}{}\n",
-                json_string(pass),
-                json_string(finding.lint),
-                json_string(finding.severity.label()),
-                json_string(&finding.location.to_string()),
-                json_string(&finding.message),
-                if emitted < total { "," } else { "" }
-            ));
-        }
-    }
-    out.push_str("]\n");
-    out
+    json_lines(passes.iter().flat_map(|(pass, findings)| {
+        let prefix = format!("\"schema\": 1, \"pass\": {}, ", json_string(pass));
+        findings.iter().map(move |f| finding_json(&prefix, f))
+    }))
 }
 
 #[cfg(test)]

@@ -92,7 +92,7 @@
 use std::io::Write;
 use std::process::exit;
 
-use arsf_bench::cli::{grid_from_args, grid_mode_requested, parse_cells, sweeper_from_args};
+use arsf_bench::cli::{self, grid_from_args, grid_mode_requested, parse_cells, sweeper_from_args};
 use arsf_bench::drive::{Fnv64, Frame};
 use arsf_bench::{arg_value, baseline_ops, has_flag, TextTable};
 use arsf_core::scenario::registry;
@@ -287,17 +287,21 @@ fn main() {
     if let (Some(mode), Some(grid)) = (&baseline_mode, &baseline_grid) {
         // The recording vetoes and check tolerances live in
         // `arsf_bench::baseline_ops`, shared verbatim with `sweep_drive`
-        // so a driven run and an in-process run freeze or vet a grid
-        // under identical rules.
+        // and `sweep_diff`, so every recording path freezes or vets a
+        // grid under identical rules.
         let dir = arg_value("--baseline-dir").unwrap_or_else(|| "baselines".to_string());
         let current = Baseline::from_report(grid, &report);
         match mode.as_str() {
-            "record" => match baseline_ops::record(grid, &current, &dir) {
-                Ok(path) => println!("recorded baseline {}", path.display()),
-                Err(e) => fail(&e),
-            },
+            "record" => {
+                match baseline_ops::record(grid, &current, &dir, cli::overrides_from_args()) {
+                    Ok(path) => println!("recorded baseline {}", path.display()),
+                    Err(e) => fail(&e),
+                }
+            }
             _ => {
-                let (rendered, drifted) = parsed(baseline_ops::check(grid, &current, &dir));
+                let config = parsed(cli::diff_config_from_args());
+                let (rendered, drifted) =
+                    parsed(baseline_ops::check(grid, &current, &dir, &config));
                 print!("{rendered}");
                 if drifted {
                     exit(1);

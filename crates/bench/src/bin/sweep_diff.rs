@@ -18,10 +18,13 @@
 //!   overlap check). Also refuses a freshly-run report whose recorded
 //!   cells invert a cross-cell ordering the dominance pass proves
 //!   (`--allow-disorder` overrides) — a disordered baseline would fail
-//!   `sweep_lint dominance` forever after.
+//!   `sweep_lint dominance` forever after. These are the vetoes of
+//!   `arsf_bench::baseline_ops`, the same ones `scenario_sweep
+//!   --baseline record` and `sweep_drive --baseline record` apply.
 //! * `check` — run the golden grid(s) and diff each against its stored
-//!   baseline, printing every drifted cell's grid index, column,
-//!   baseline value and new value.
+//!   baseline (through `arsf_bench::baseline_ops`, so the stored file's
+//!   content address is verified first), printing every drifted cell's
+//!   grid index, column, baseline value and new value.
 //! * `diff <a.json> <b.json>` — compare two baseline files directly.
 //!
 //! Exit codes (CI keys off them, so drift and breakage stay
@@ -45,13 +48,10 @@
 
 use std::process::exit;
 
-use arsf_analyze::{
-    analyze_grid_guarantees, detection_vacuous, vet_baseline_dominance, AnalyzeGrid, Severity,
-};
-use arsf_bench::cli::{parse_tolerances, sweeper_from_args};
-use arsf_bench::{arg_value, golden, has_flag};
-use arsf_core::sweep::diff::{diff, DiffConfig, SweepDiff};
-use arsf_core::sweep::store::{baseline_path, grid_address, Baseline, StoreError};
+use arsf_bench::cli::{diff_config_from_args, overrides_from_args, sweeper_from_args};
+use arsf_bench::{arg_value, baseline_ops, golden, has_flag};
+use arsf_core::sweep::diff::{diff, SweepDiff};
+use arsf_core::sweep::store::Baseline;
 use arsf_core::sweep::{StreamingSweeper, SweepGrid};
 
 fn fail(message: &str) -> ! {
@@ -59,35 +59,19 @@ fn fail(message: &str) -> ! {
     exit(2);
 }
 
-fn diff_config() -> DiffConfig {
-    // Near-exact default: absorbs last-ulp libm differences between the
-    // recording and checking platforms, far below any real drift.
-    let mut config = DiffConfig::near_exact();
-    if let Some(spec) = arg_value("--tol") {
-        for (column, tolerance) in
-            parse_tolerances(&spec).unwrap_or_else(|e| fail(&format!("--tol: {e}")))
-        {
-            config = config.with_column(column, tolerance);
-        }
-    }
-    config
-}
-
 fn grids() -> Vec<(&'static str, SweepGrid)> {
-    match arg_value("--grid") {
-        None => golden::all(),
-        Some(name) => {
-            let grid = golden::find(&name).unwrap_or_else(|| {
-                let known: Vec<&str> = golden::all().iter().map(|(n, _)| *n).collect();
-                fail(&format!(
-                    "unknown golden grid `{name}` (known: {})",
-                    known.join(", ")
-                ))
-            });
-            let leaked: &'static str = Box::leak(name.into_boxed_str());
-            vec![(leaked, grid)]
-        }
+    let wanted = arg_value("--grid");
+    let mut grids = golden::all();
+    grids.retain(|(name, _)| wanted.as_deref().is_none_or(|w| w == *name));
+    if grids.is_empty() {
+        let known: Vec<&str> = golden::all().iter().map(|(n, _)| *n).collect();
+        let name = wanted.unwrap_or_default();
+        fail(&format!(
+            "unknown golden grid `{name}` (known: {})",
+            known.join(", ")
+        ));
     }
+    grids
 }
 
 fn run_baseline(grid: &SweepGrid, sweeper: &StreamingSweeper) -> Baseline {
@@ -97,111 +81,38 @@ fn run_baseline(grid: &SweepGrid, sweeper: &StreamingSweeper) -> Baseline {
 fn record(dir: &str) {
     let sweeper = sweeper_from_args().unwrap_or_else(|e| fail(&e));
     for (name, grid) in grids() {
-        // The same guard `scenario_sweep --baseline record` applies: a
-        // grid with error-severity lint findings must not be frozen.
-        let errors: Vec<_> = grid
-            .analyze()
-            .into_iter()
-            .filter(|f| f.severity == Severity::Error)
-            .collect();
-        if !errors.is_empty() {
-            for finding in &errors {
-                eprintln!("{}", finding.render());
-            }
-            fail(&format!(
-                "refusing to record {name}: the grid has error-severity lint findings"
-            ));
-        }
-        // A cell whose declared budget admits no static width bound
-        // records unfalsifiable numbers; freezing those as a baseline
-        // needs an explicit opt-in.
-        let unbounded: Vec<_> = analyze_grid_guarantees(&grid)
-            .into_iter()
-            .filter(|f| f.lint == "guarantee-unbounded")
-            .collect();
-        if !unbounded.is_empty() && !has_flag("--allow-unbounded") {
-            for finding in &unbounded {
-                eprintln!("{}", finding.render());
-            }
-            fail(&format!(
-                "refusing to record {name}: {} cell(s) have no static width bound \
-                 (pass --allow-unbounded to record anyway)",
-                unbounded.len()
-            ));
-        }
-        // A grid whose every corruptible cell is provably invisible to
-        // its detector freezes tautological detection columns; that
-        // needs an explicit opt-in too. (`table2-closed-loop` is the
-        // canonical case: its stealth-clamped attacker provably never
-        // trips Marzullo's overlap check — exactly the paper's point —
-        // so re-recording it takes --allow-invisible.)
-        if detection_vacuous(&grid) && !has_flag("--allow-invisible") {
-            fail(&format!(
-                "refusing to record {name}: every corruptible cell is provably invisible \
-                 to its detector, so the detection columns are vacuous (run `sweep_lint \
-                 detectability` for the per-cell verdicts; pass --allow-invisible to \
-                 record anyway)"
-            ));
-        }
         let baseline = run_baseline(&grid, &sweeper);
-        // The freshly-run numbers must respect every cross-cell ordering
-        // the theory proves (Table II's schedule chain, the containment
-        // and invisibility certificates): a baseline that freezes an
-        // inverted pair would make the dominance vet fail forever after.
-        let inversions = vet_baseline_dominance(
-            &grid,
-            &baseline,
-            &arsf_analyze::Location::Grid {
-                name: name.to_string(),
-            },
-        );
-        if !inversions.is_empty() && !has_flag("--allow-disorder") {
-            for finding in &inversions {
-                eprintln!("{}", finding.render());
-            }
-            fail(&format!(
-                "refusing to record {name}: {} recorded cell pair(s) invert a provable \
-                 ordering (run `sweep_lint dominance` for the derived edges; pass \
-                 --allow-disorder to record anyway)",
-                inversions.len()
-            ));
-        }
-        match baseline.save(dir) {
+        match baseline_ops::record(&grid, &baseline, dir, overrides_from_args()) {
             Ok(path) => println!(
                 "recorded {name}: {} cells -> {}",
                 baseline.rows.len(),
                 path.display()
             ),
-            Err(e) => fail(&format!("recording {name}: {e}")),
+            Err(e) => fail(&format!("{name}: {e}")),
         }
     }
 }
 
 fn check(dir: &str) {
     let sweeper = sweeper_from_args().unwrap_or_else(|e| fail(&e));
-    let config = diff_config();
-    // A missing or unreadable baseline is breakage (exit 2), not drift
-    // (exit 1): CI must not mistake "nothing to compare against" for
-    // "the numbers moved".
+    let config = diff_config_from_args().unwrap_or_else(|e| fail(&e));
+    // A missing, unreadable or tampered baseline is breakage (exit 2),
+    // not drift (exit 1): CI must not mistake "nothing to compare
+    // against" for "the numbers moved".
     let mut broken = false;
     let mut drifted = false;
     for (name, grid) in grids() {
-        let stored = match Baseline::load_for_grid(dir, &grid) {
-            Ok(stored) => stored,
-            Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                eprintln!(
-                    "{name}: no baseline at {} — run `sweep_diff record` first",
-                    baseline_path(dir, &grid_address(&grid)).display()
-                );
-                broken = true;
-                continue;
-            }
-            Err(e) => fail(&format!("loading {name}: {e}")),
-        };
         let current = run_baseline(&grid, &sweeper);
-        let result = diff(&stored, &current, &config);
-        print!("{name}: {}", result.render());
-        drifted |= !result.is_empty();
+        match baseline_ops::check(&grid, &current, dir, &config) {
+            Ok((rendered, drift)) => {
+                print!("{name}: {rendered}");
+                drifted |= drift;
+            }
+            Err(e) => {
+                eprintln!("{name}: {e} (`sweep_diff record` writes it)");
+                broken = true;
+            }
+        }
     }
     if broken {
         exit(2);
@@ -212,7 +123,8 @@ fn check(dir: &str) {
 fn diff_files(a: &str, b: &str) {
     let load =
         |path: &str| Baseline::load(path).unwrap_or_else(|e| fail(&format!("loading {path}: {e}")));
-    let result: SweepDiff = diff(&load(a), &load(b), &diff_config());
+    let config = diff_config_from_args().unwrap_or_else(|e| fail(&e));
+    let result: SweepDiff = diff(&load(a), &load(b), &config);
     print!("{}", result.render());
     exit(i32::from(!result.is_empty()));
 }

@@ -56,10 +56,10 @@ use std::ops::Range;
 use std::process::{exit, Child, Command, Stdio};
 use std::time::Instant;
 
-use arsf_bench::cli::{grid_args_for_forwarding, grid_from_args, grid_mode_requested};
-use arsf_bench::drive::{baseline_from_rows, parse_shards, plan_shards, DriveError, ShardStream};
+use arsf_bench::cli::{self, grid_args_for_forwarding, grid_from_args, grid_mode_requested};
+use arsf_bench::drive::{parse_shards, plan_shards, DriveError, ShardStream};
 use arsf_bench::{arg_value, baseline_ops, has_flag};
-use arsf_core::sweep::store::grid_address;
+use arsf_core::sweep::store::{grid_address, Baseline};
 use arsf_core::sweep::{SweepGrid, SweepReport};
 
 fn fail(message: &str) -> ! {
@@ -386,14 +386,19 @@ fn main() {
 
     if let Some(mode) = &baseline_mode {
         let dir = arg_value("--baseline-dir").unwrap_or_else(|| "baselines".to_string());
-        let current = parsed(baseline_from_rows(&grid, &merged));
+        let current =
+            Baseline::from_csv_lines(&grid, &merged).unwrap_or_else(|e| fail(&e.to_string()));
         match mode.as_str() {
-            "record" => match baseline_ops::record(&grid, &current, &dir) {
-                Ok(path) => eprintln!("sweep_drive: recorded baseline {}", path.display()),
-                Err(e) => fail(&e),
-            },
+            "record" => {
+                match baseline_ops::record(&grid, &current, &dir, cli::overrides_from_args()) {
+                    Ok(path) => eprintln!("sweep_drive: recorded baseline {}", path.display()),
+                    Err(e) => fail(&e),
+                }
+            }
             _ => {
-                let (rendered, drifted) = parsed(baseline_ops::check(&grid, &current, &dir));
+                let config = parsed(cli::diff_config_from_args());
+                let (rendered, drifted) =
+                    parsed(baseline_ops::check(&grid, &current, &dir, &config));
                 print!("{rendered}");
                 if drifted {
                     exit(1);

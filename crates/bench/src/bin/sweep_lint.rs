@@ -64,10 +64,9 @@ use arsf_analyze::{
     render_passes, tolerance_findings, vet_baseline_detectability, vet_baseline_dominance,
     vet_baseline_guarantees, AnalyzeGrid, Finding, Location, Severity,
 };
-use arsf_bench::cli::{grid_from_args, parse_tolerances};
+use arsf_bench::cli::{diff_config_from_args, grid_from_args};
 use arsf_bench::{arg_value, golden, has_flag};
 use arsf_core::scenario::registry;
-use arsf_core::sweep::diff::DiffConfig;
 use arsf_core::sweep::store::{baseline_path, grid_address, Baseline};
 
 const USAGE: &str = "\
@@ -142,13 +141,8 @@ fn baselines() -> Vec<Finding> {
         .map(|(name, grid)| (name.to_string(), grid_address(grid)))
         .collect();
     let mut findings = analyze_baseline_dir(Path::new(&dir), &known);
-    if let Some(spec) = arg_value("--tol") {
-        let mut config = DiffConfig::near_exact();
-        for (column, tolerance) in
-            parse_tolerances(&spec).unwrap_or_else(|e| fail(&format!("--tol: {e}")))
-        {
-            config = config.with_column(column, tolerance);
-        }
+    let config = diff_config_from_args().unwrap_or_else(|e| fail(&e));
+    if !config.column_entries().is_empty() {
         // Vet the tolerances against every stored golden baseline at
         // once: one check-harness configuration applies to all grids, so
         // a family only present closed-loop is alive, not dead.

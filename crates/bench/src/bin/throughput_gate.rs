@@ -27,22 +27,11 @@ use std::time::Instant;
 
 use arsf_bench::cli::sweeper_from_args;
 use arsf_bench::{arg_value, golden};
+use arsf_core::json;
 
 fn fail(message: &str) -> ! {
     eprintln!("throughput_gate: {message}");
     exit(2);
-}
-
-/// Extracts `"field": <number>` from a flat JSON artifact without a
-/// parser dependency.
-fn json_number_field(src: &str, field: &str) -> Option<f64> {
-    let tail = src.split(&format!("\"{field}\":")).nth(1)?;
-    let token: String = tail
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-        .collect();
-    token.parse().ok()
 }
 
 fn main() {
@@ -106,7 +95,10 @@ fn main() {
             }
             Err(e) => fail(&format!("cannot read {path}: {e}")),
         };
-        let reference = json_number_field(&src, "rounds_per_sec")
+        let reference = json::parse(&src)
+            .and_then(|v| v.field("rounds_per_sec")?.as_nullable_f64("rounds_per_sec"))
+            .ok()
+            .flatten()
             .filter(|r| r.is_finite() && *r > 0.0)
             .unwrap_or_else(|| fail(&format!("{path} has no usable rounds_per_sec field")));
         let floor = reference * (1.0 - max_drop);

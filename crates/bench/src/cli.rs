@@ -9,12 +9,14 @@
 use arsf_core::scenario::{
     AttackerSpec, ClosedLoopSpec, FuserSpec, Scenario, StrategySpec, SuiteSpec,
 };
-use arsf_core::sweep::diff::Tolerance;
+use arsf_core::sweep::diff::{DiffConfig, Tolerance};
 use arsf_core::sweep::{StreamingSweeper, SweepGrid};
 use arsf_core::DetectionMode;
 use arsf_schedule::SchedulePolicy;
 use arsf_sensor::{FaultKind, FaultModel};
 use std::ops::Range;
+
+use crate::baseline_ops::Overrides;
 
 fn non_empty<T>(axis: &str, values: Vec<T>) -> Result<Vec<T>, String> {
     if values.is_empty() {
@@ -399,6 +401,33 @@ pub fn sweeper_from_args() -> Result<StreamingSweeper, String> {
             Ok(threads) if threads > 0 => Ok(StreamingSweeper::new(threads)),
             _ => Err(format!("--threads wants a positive integer, got `{value}`")),
         },
+    }
+}
+
+/// The check harnesses' diff configuration: the near-exact default
+/// ([`DiffConfig::near_exact`]) plus the per-column tolerances of
+/// `--tol col=abs[:rel],…` when given.
+///
+/// # Errors
+///
+/// Returns a message naming the flag and the malformed entry.
+pub fn diff_config_from_args() -> Result<DiffConfig, String> {
+    let mut config = DiffConfig::near_exact();
+    if let Some(spec) = crate::arg_value("--tol") {
+        for (column, tolerance) in parse_tolerances(&spec).map_err(|e| format!("--tol: {e}"))? {
+            config = config.with_column(column, tolerance);
+        }
+    }
+    Ok(config)
+}
+
+/// The recording vetoes waived by `--allow-unbounded`,
+/// `--allow-invisible` and `--allow-disorder`.
+pub fn overrides_from_args() -> Overrides {
+    Overrides {
+        unbounded: crate::has_flag("--allow-unbounded"),
+        invisible: crate::has_flag("--allow-invisible"),
+        disorder: crate::has_flag("--allow-disorder"),
     }
 }
 

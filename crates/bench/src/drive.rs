@@ -1,6 +1,5 @@
 //! The coordinator/worker protocol behind distributed sweeps: framed
-//! line-delimited row streams, shard planning, stream validation, and
-//! CSV-to-baseline reconstruction.
+//! line-delimited row streams, shard planning and stream validation.
 //!
 //! A `sweep_drive` coordinator splits a grid into contiguous `--cells`
 //! ranges and fans them out across child `scenario_sweep --stream`
@@ -21,12 +20,15 @@
 //! (`line + '\n'`), so truncation, reordering, duplication and silent
 //! corruption are all distinguishable, named failures rather than a
 //! quietly wrong merged report.
+//!
+//! A row frame carries the row's CSV line verbatim
+//! ([`arsf_core::sweep::SweepRow::to_csv_line`]); a coordinator that
+//! needs the numbers back (`sweep_drive --baseline`) reads the merged
+//! lines with the core row reader,
+//! [`Baseline::from_csv_lines`](arsf_core::sweep::store::Baseline::from_csv_lines).
 
 use std::fmt;
 use std::ops::Range;
-
-use arsf_core::sweep::store::{canonical_definition, content_address, Baseline, CellRecord};
-use arsf_core::sweep::SweepGrid;
 
 /// The protocol version tag every shard header carries. Bump it when a
 /// frame's shape changes; a coordinator refuses a worker with any other
@@ -34,8 +36,8 @@ use arsf_core::sweep::SweepGrid;
 pub const PROTOCOL_VERSION: &str = "arsf-sweep-stream-v1";
 
 /// Incremental FNV-1a 64 — the same function
-/// [`content_address`] applies to whole strings, usable over a stream
-/// of chunks. `Fnv64::default().update(x).finish()` equals
+/// [`content_address`](arsf_core::sweep::store::content_address)
+/// applies to whole strings, usable over a stream of chunks. `Fnv64::default().update(x).finish()` equals
 /// `content_address(x)`'s underlying hash for any byte split.
 #[derive(Debug, Clone)]
 pub struct Fnv64(u64);
@@ -543,191 +545,10 @@ pub fn parse_shards(spec: &str, len: usize) -> Result<Vec<Range<usize>>, String>
     Ok(shards)
 }
 
-/// Splits one CSV line into fields, honouring the report writer's
-/// quoting (fields containing `,`, `"` or newlines are wrapped in `"`
-/// with inner quotes doubled).
-pub fn split_csv(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut field = String::new();
-    let mut chars = line.chars().peekable();
-    let mut quoted = false;
-    while let Some(c) = chars.next() {
-        if quoted {
-            if c == '"' {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    field.push('"');
-                } else {
-                    quoted = false;
-                }
-            } else {
-                field.push(c);
-            }
-        } else {
-            match c {
-                '"' => quoted = true,
-                ',' => fields.push(std::mem::take(&mut field)),
-                _ => field.push(c),
-            }
-        }
-    }
-    fields.push(field);
-    fields
-}
-
-/// The column count of [`arsf_core::sweep::SweepReport::csv_header`].
-const CSV_COLUMNS: usize = 25;
-
-fn opt_f64(field: &str, column: &str) -> Result<Option<f64>, String> {
-    if field.is_empty() {
-        return Ok(None);
-    }
-    field
-        .parse()
-        .map(Some)
-        .map_err(|_| format!("bad {column} `{field}`"))
-}
-
-fn req_f64(field: &str, column: &str) -> Result<Option<f64>, String> {
-    opt_f64(field, column)?
-        .map(Some)
-        .ok_or_else(|| format!("missing {column}"))
-}
-
-/// Reconstructs the flattened comparison record from one report CSV
-/// line — the inverse of [`arsf_core::sweep::SweepRow::to_csv_line`]
-/// as far as [`CellRecord`] is concerned. Floats round-trip exactly
-/// because the writer uses Rust's shortest round-trip formatting, so a
-/// baseline rebuilt from CSV equals one built from the in-memory
-/// report.
-///
-/// # Errors
-///
-/// Returns a message naming the malformed column.
-pub fn cell_record_from_csv(line: &str) -> Result<CellRecord, String> {
-    let fields = split_csv(line);
-    if fields.len() != CSV_COLUMNS {
-        return Err(format!(
-            "expected {CSV_COLUMNS} CSV columns, got {}",
-            fields.len()
-        ));
-    }
-    let cell: u64 = fields[0]
-        .parse()
-        .map_err(|_| format!("bad cell index `{}`", fields[0]))?;
-    // Column order mirrors SweepReport::csv_header: cell, scenario,
-    // suite, faults, attacker, schedule, fuser, detector, rounds, seed,
-    // then the metric columns, then the pipe-joined vehicle vectors.
-    let labels = vec![
-        ("suite".to_string(), fields[2].clone()),
-        ("faults".to_string(), fields[3].clone()),
-        ("attacker".to_string(), fields[4].clone()),
-        ("schedule".to_string(), fields[5].clone()),
-        ("fuser".to_string(), fields[6].clone()),
-        ("detector".to_string(), fields[7].clone()),
-        ("rounds".to_string(), fields[8].clone()),
-        ("seed".to_string(), fields[9].clone()),
-        ("condemned".to_string(), fields[17].clone()),
-    ];
-    let mut metrics = vec![
-        (
-            "mean_width".to_string(),
-            req_f64(&fields[10], "mean_width")?,
-        ),
-        ("min_width".to_string(), opt_f64(&fields[11], "min_width")?),
-        ("max_width".to_string(), opt_f64(&fields[12], "max_width")?),
-        (
-            "truth_lost".to_string(),
-            req_f64(&fields[13], "truth_lost")?,
-        ),
-        (
-            "truth_loss_rate".to_string(),
-            req_f64(&fields[14], "truth_loss_rate")?,
-        ),
-        (
-            "fusion_failures".to_string(),
-            req_f64(&fields[15], "fusion_failures")?,
-        ),
-        (
-            "flagged_rounds".to_string(),
-            req_f64(&fields[16], "flagged_rounds")?,
-        ),
-        (
-            "above_rate".to_string(),
-            opt_f64(&fields[18], "above_rate")?,
-        ),
-        (
-            "below_rate".to_string(),
-            opt_f64(&fields[19], "below_rate")?,
-        ),
-        (
-            "preemptions".to_string(),
-            opt_f64(&fields[20], "preemptions")?,
-        ),
-        ("min_gap".to_string(), opt_f64(&fields[21], "min_gap")?),
-    ];
-    // The vehicle vectors are pipe-joined, leader first, and empty for
-    // non-platoon rows. `vehicle_truth_lost` entries are always
-    // rendered (integers), so its split length is the vehicle count;
-    // `vehicle_max_widths` entries may individually be empty (→ None).
-    if !fields[24].is_empty() {
-        let means: Vec<&str> = fields[22].split('|').collect();
-        let maxes: Vec<&str> = fields[23].split('|').collect();
-        let lost: Vec<&str> = fields[24].split('|').collect();
-        if means.len() != lost.len() || maxes.len() != lost.len() {
-            return Err(format!(
-                "vehicle column lengths disagree: {} means, {} maxes, {} truth_lost",
-                means.len(),
-                maxes.len(),
-                lost.len()
-            ));
-        }
-        for (i, ((mean, max), lost)) in means.iter().zip(&maxes).zip(&lost).enumerate() {
-            metrics.push((
-                format!("vehicle_mean_widths[{i}]"),
-                req_f64(mean, "vehicle_mean_widths")?,
-            ));
-            metrics.push((
-                format!("vehicle_max_widths[{i}]"),
-                opt_f64(max, "vehicle_max_widths")?,
-            ));
-            metrics.push((
-                format!("vehicle_truth_lost[{i}]"),
-                req_f64(lost, "vehicle_truth_lost")?,
-            ));
-        }
-    }
-    Ok(CellRecord {
-        cell,
-        labels,
-        metrics,
-    })
-}
-
-/// Rebuilds a [`Baseline`] from a driven run's merged CSV lines — the
-/// bridge that lets `sweep_drive --baseline record|check` work without
-/// ever materialising a [`arsf_core::sweep::SweepReport`].
-///
-/// # Errors
-///
-/// Returns a message naming the malformed line.
-pub fn baseline_from_rows(grid: &SweepGrid, lines: &[String]) -> Result<Baseline, String> {
-    let definition = canonical_definition(grid);
-    let mut rows = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        rows.push(cell_record_from_csv(line).map_err(|e| format!("merged CSV row {i}: {e}"))?);
-    }
-    Ok(Baseline {
-        address: content_address(&definition),
-        definition,
-        rows,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::golden;
+    use arsf_core::sweep::store::content_address;
 
     #[test]
     fn incremental_fnv_matches_content_address() {
@@ -943,45 +764,5 @@ mod tests {
             .unwrap_err()
             .contains("bad cell index `x`"));
         assert!(parse_shards("", 8).unwrap_err().contains("empty"));
-    }
-
-    #[test]
-    fn split_csv_honours_quoting() {
-        assert_eq!(split_csv("a,b,c"), ["a", "b", "c"]);
-        assert_eq!(split_csv("a,\"b,c\",d"), ["a", "b,c", "d"]);
-        assert_eq!(
-            split_csv("a,\"say \"\"hi\"\"\",c"),
-            ["a", "say \"hi\"", "c"]
-        );
-        assert_eq!(split_csv("a,,c"), ["a", "", "c"]);
-        assert_eq!(split_csv(""), [""]);
-    }
-
-    #[test]
-    fn baseline_from_csv_rows_equals_baseline_from_report() {
-        for (name, grid) in golden::all() {
-            let report = grid.run_serial();
-            let lines: Vec<String> = report.rows().iter().map(|r| r.to_csv_line()).collect();
-            let mut rebuilt_rows = Vec::new();
-            for line in &lines {
-                rebuilt_rows.push(cell_record_from_csv(line).unwrap());
-            }
-            let from_report = Baseline::from_report(&grid, &report);
-            for (rebuilt, direct) in rebuilt_rows.iter().zip(&from_report.rows) {
-                assert_eq!(rebuilt, direct, "grid `{name}`");
-            }
-            let rebuilt = baseline_from_rows(&grid, &lines).unwrap();
-            assert_eq!(rebuilt.address, from_report.address);
-            assert_eq!(rebuilt.definition, from_report.definition);
-        }
-    }
-
-    #[test]
-    fn csv_reconstruction_names_malformed_columns() {
-        assert!(cell_record_from_csv("1,2,3").unwrap_err().contains("25"));
-        let row = format!("x{}", ",f".repeat(24));
-        assert!(cell_record_from_csv(&row)
-            .unwrap_err()
-            .contains("bad cell index `x`"));
     }
 }

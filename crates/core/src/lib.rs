@@ -28,7 +28,11 @@
 //!   deterministic, grid-ordered [`SweepReport`]s with CSV/JSON emission;
 //!   [`sweep::store`] persists reports content-addressed by their grid
 //!   definition and [`sweep::diff`] compares two stored reports cell by
-//!   cell under per-column tolerances (the regression-baseline harness),
+//!   cell under per-column tolerances (the regression-baseline harness);
+//!   [`sweep::schema`] is the one definition of the row format all of
+//!   them share,
+//! * [`json`] — the dependency-free JSON escaper and parser every JSON
+//!   writer and reader in the workspace uses,
 //! * [`metrics`] — violation counters and width statistics used by the
 //!   experiment harnesses,
 //! * [`transport`] — the same round executed over the `arsf-bus`
@@ -79,6 +83,7 @@
 
 pub mod closed_loop;
 mod config;
+pub mod json;
 pub mod metrics;
 mod pipeline;
 mod runner;

@@ -25,6 +25,8 @@
 //!   report regardless of thread interleaving.
 //! * [`SweepReport`] — the ordered rows with CSV ([`SweepReport::to_csv`])
 //!   and JSON ([`SweepReport::to_json`]) emission for downstream tooling.
+//!   Both writers, the CSV header and the readers back into a
+//!   baseline record derive from the one column table in [`schema`].
 //!
 //! # Example
 //!
@@ -53,6 +55,7 @@
 //! ```
 
 pub mod diff;
+pub mod schema;
 pub mod store;
 pub mod stream;
 
@@ -496,56 +499,12 @@ impl SweepRow {
     /// [`SweepReport::csv_header`] column order — the unit both
     /// [`SweepReport::to_csv_body`] and the streaming writers emit, so a
     /// row rendered in isolation is byte-identical to the same row inside
-    /// a full report.
+    /// a full report. [`CellRecord::from_csv_line`](store::CellRecord::from_csv_line)
+    /// reads it back.
     pub fn to_csv_line(&self) -> String {
-        let s = &self.summary;
-        let condemned: Vec<String> = s.condemned.iter().map(|c| format!("{c}")).collect();
-        let sup = s.supervisor.as_ref();
-        let join = |parts: Vec<String>| parts.join("|");
-        let cells = [
-            format!("{}", self.cell),
-            csv_field(&s.scenario),
-            csv_field(&self.suite),
-            csv_field(&self.faults),
-            csv_field(&self.attacker),
-            csv_field(&self.schedule),
-            csv_field(&s.fuser),
-            csv_field(&s.detector),
-            format!("{}", self.rounds),
-            format!("{}", self.seed),
-            format!("{}", s.widths.mean()),
-            s.widths.min().map_or(String::new(), |w| format!("{w}")),
-            s.widths.max().map_or(String::new(), |w| format!("{w}")),
-            format!("{}", s.truth_lost),
-            format!("{}", s.truth_loss_rate()),
-            format!("{}", s.fusion_failures),
-            format!("{}", s.flagged_rounds),
-            csv_field(&condemned.join("|")),
-            sup.map_or(String::new(), |v| format!("{}", v.above_rate)),
-            sup.map_or(String::new(), |v| format!("{}", v.below_rate)),
-            sup.map_or(String::new(), |v| format!("{}", v.preemptions)),
-            sup.and_then(|v| v.min_gap)
-                .map_or(String::new(), |g| format!("{g}")),
-            join(
-                s.vehicles
-                    .iter()
-                    .map(|v| format!("{}", v.widths.mean()))
-                    .collect(),
-            ),
-            join(
-                s.vehicles
-                    .iter()
-                    .map(|v| v.widths.max().map_or(String::new(), |w| format!("{w}")))
-                    .collect(),
-            ),
-            join(
-                s.vehicles
-                    .iter()
-                    .map(|v| format!("{}", v.truth_lost))
-                    .collect(),
-            ),
-        ];
-        cells.join(",")
+        let mut out = String::with_capacity(256);
+        schema::write_row(self, &mut out, false);
+        out
     }
 }
 
@@ -573,23 +532,15 @@ impl SweepReport {
     }
 
     /// The CSV header line [`SweepReport::to_csv`] emits (trailing
-    /// newline included).
+    /// newline included): the [`schema::COLUMNS`] names in order.
     pub fn csv_header() -> &'static str {
-        "cell,scenario,suite,faults,attacker,schedule,fuser,detector,rounds,seed,\
-         mean_width,min_width,max_width,truth_lost,truth_loss_rate,\
-         fusion_failures,flagged_rounds,condemned,\
-         above_rate,below_rate,preemptions,min_gap,\
-         vehicle_mean_widths,vehicle_max_widths,vehicle_truth_lost\n"
+        schema::csv_header()
     }
 
-    /// Renders the report as CSV (header + one line per cell). Fields
-    /// containing separators are quoted; floats use Rust's shortest
-    /// round-trip formatting, so equal reports render byte-identically.
-    /// The supervisor columns (`above_rate`, `below_rate`, `preemptions`,
-    /// `min_gap`) are empty for open-loop rows, and the per-vehicle
-    /// columns (`vehicle_mean_widths`, `vehicle_max_widths`,
-    /// `vehicle_truth_lost` — pipe-joined, leader first) are empty for
-    /// everything but closed-loop platoon rows.
+    /// Renders the report as CSV (header + one line per cell) under the
+    /// [`schema`] rules, so equal reports render byte-identically. The
+    /// supervisor columns are empty for open-loop rows and the
+    /// per-vehicle columns for everything but closed-loop platoon rows.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(Self::csv_header());
         out.push_str(&self.to_csv_body());
@@ -602,116 +553,26 @@ impl SweepReport {
     pub fn to_csv_body(&self) -> String {
         let mut out = String::new();
         for row in &self.rows {
-            out.push_str(&row.to_csv_line());
+            schema::write_row(row, &mut out, false);
             out.push('\n');
         }
         out
     }
 
-    /// Renders the report as a JSON array of row objects (no external
-    /// dependencies; strings are escaped, absent min/max and the
-    /// supervisor columns of open-loop rows become `null`, and the
-    /// per-vehicle columns are arrays — empty for everything but
-    /// closed-loop platoon rows).
+    /// Renders the report as a JSON array of row objects under the
+    /// [`schema`] rules (absent values are `null`, vectors are arrays).
     pub fn to_json(&self) -> String {
         let mut out = String::from("[");
         for (i, row) in self.rows.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let s = &row.summary;
-            let condemned: Vec<String> = s.condemned.iter().map(|c| format!("{c}")).collect();
-            let sup = s.supervisor.as_ref();
-            let vehicle_means: Vec<String> = s
-                .vehicles
-                .iter()
-                .map(|v| format!("{}", v.widths.mean()))
-                .collect();
-            let vehicle_maxes: Vec<String> = s
-                .vehicles
-                .iter()
-                .map(|v| {
-                    v.widths
-                        .max()
-                        .map_or("null".to_string(), |w| format!("{w}"))
-                })
-                .collect();
-            let vehicle_lost: Vec<String> = s
-                .vehicles
-                .iter()
-                .map(|v| format!("{}", v.truth_lost))
-                .collect();
-            out.push_str(&format!(
-                "\n  {{\"cell\":{},\"scenario\":{},\"suite\":{},\"faults\":{},\"attacker\":{},\
-                 \"schedule\":{},\"fuser\":{},\"detector\":{},\"rounds\":{},\"seed\":{},\
-                 \"mean_width\":{},\"min_width\":{},\"max_width\":{},\"truth_lost\":{},\
-                 \"truth_loss_rate\":{},\"fusion_failures\":{},\"flagged_rounds\":{},\
-                 \"condemned\":[{}],\"above_rate\":{},\"below_rate\":{},\
-                 \"preemptions\":{},\"min_gap\":{},\"vehicle_mean_widths\":[{}],\
-                 \"vehicle_max_widths\":[{}],\"vehicle_truth_lost\":[{}]}}",
-                row.cell,
-                json_string(&s.scenario),
-                json_string(&row.suite),
-                json_string(&row.faults),
-                json_string(&row.attacker),
-                json_string(&row.schedule),
-                json_string(&s.fuser),
-                json_string(&s.detector),
-                row.rounds,
-                row.seed,
-                s.widths.mean(),
-                s.widths
-                    .min()
-                    .map_or("null".to_string(), |w| format!("{w}")),
-                s.widths
-                    .max()
-                    .map_or("null".to_string(), |w| format!("{w}")),
-                s.truth_lost,
-                s.truth_loss_rate(),
-                s.fusion_failures,
-                s.flagged_rounds,
-                condemned.join(","),
-                sup.map_or("null".to_string(), |v| format!("{}", v.above_rate)),
-                sup.map_or("null".to_string(), |v| format!("{}", v.below_rate)),
-                sup.map_or("null".to_string(), |v| format!("{}", v.preemptions)),
-                sup.and_then(|v| v.min_gap)
-                    .map_or("null".to_string(), |g| format!("{g}")),
-                vehicle_means.join(","),
-                vehicle_maxes.join(","),
-                vehicle_lost.join(","),
-            ));
+            out.push_str("\n  ");
+            schema::write_row(row, &mut out, true);
         }
         out.push_str("\n]\n");
         out
     }
-}
-
-fn csv_field(raw: &str) -> String {
-    if raw.contains([',', '"', '\n']) {
-        format!("\"{}\"", raw.replace('"', "\"\""))
-    } else {
-        raw.to_string()
-    }
-}
-
-/// Renders `raw` as a quoted JSON string, escaping quotes, backslashes
-/// and control characters.
-pub fn json_string(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len() + 2);
-    out.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -914,17 +775,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_quotes_fields_with_separators() {
-        assert_eq!(csv_field("plain"), "plain");
-        assert_eq!(csv_field("a,b"), "\"a,b\"");
-        assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
-        // A widths suite label contains no comma by construction.
-        assert_eq!(SuiteSpec::Widths(vec![5.0, 11.0]).label(), "widths[5|11]");
-    }
-
-    #[test]
     fn json_is_escaped_and_structurally_sound() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         let report = SweepGrid::new(attacked_base(10)).run_serial();
         let json = report.to_json();
         assert!(json.starts_with('['));

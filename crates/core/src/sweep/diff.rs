@@ -37,6 +37,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use super::schema::column_family;
 use super::store::{Baseline, CellRecord};
 
 /// An absolute + relative tolerance for one numeric column.
@@ -134,8 +135,8 @@ impl DiffConfig {
     }
 
     /// The tolerance in force for a column: the exact entry if present,
-    /// else the family entry (name with any `[index]` suffix stripped),
-    /// else the default.
+    /// else the entry of its family ([`column_family`]), else the
+    /// default.
     pub fn tolerance_for(&self, column: &str) -> Tolerance {
         let lookup = |name: &str| {
             self.columns
@@ -144,11 +145,7 @@ impl DiffConfig {
                 .map(|(_, t)| *t)
         };
         lookup(column)
-            .or_else(|| {
-                column
-                    .split_once('[')
-                    .and_then(|(family, _)| lookup(family))
-            })
+            .or_else(|| column_family(column).and_then(lookup))
             .unwrap_or(self.default)
     }
 }

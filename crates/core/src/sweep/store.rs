@@ -19,8 +19,12 @@
 //!   baseline file instead of silently overwriting the old one.
 //! * [`Baseline`] — the address, the definition and one flattened
 //!   [`CellRecord`] per grid cell, saved as `baselines/<address>.json`
-//!   ([`Baseline::save`]) and loaded back without any external JSON
-//!   dependency ([`Baseline::load`]).
+//!   ([`Baseline::save`]) and loaded back through the workspace's own
+//!   [`json`] parser ([`Baseline::load`]). A record is
+//!   flattened from a row's typed values ([`Baseline::from_report`]) or
+//!   read back from its CSV line ([`Baseline::from_csv_lines`]); both
+//!   follow the column table in [`schema`](super::schema), so the two
+//!   agree exactly.
 //!
 //! # Example
 //!
@@ -42,13 +46,17 @@
 //! assert_eq!(baseline, reloaded);
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-use crate::scenario::{ClosedLoopSpec, FuserSpec, TruthSpec};
+use crate::scenario::{
+    faults_label, AttackerSpec, ClosedLoopSpec, FuserSpec, SuiteSpec, TruthSpec,
+};
 use crate::DetectionMode;
 
-use super::{json_string, SweepGrid, SweepReport, SweepRow};
+use crate::json::{self, json_string};
+
+use super::{SweepGrid, SweepReport};
 
 /// The format tag written into every baseline file; bumped whenever the
 /// stored shape changes incompatibly.
@@ -110,54 +118,27 @@ fn closed_loop_label(spec: &Option<ClosedLoopSpec>) -> String {
 /// is included, so changing any axis value changes the definition (and
 /// the [`content_address`]).
 pub fn canonical_definition(grid: &SweepGrid) -> String {
-    fn join<I: IntoIterator<Item = String>>(values: I) -> String {
-        values.into_iter().collect::<Vec<_>>().join(";")
+    fn join<T>(values: &[T], label: impl Fn(&T) -> String) -> String {
+        values.iter().map(label).collect::<Vec<_>>().join(";")
     }
     let base = &grid.base;
-    let mut out = String::new();
-    out.push_str("arsf-sweep-grid v1\n");
-    out.push_str(&format!("f={}\n", base.f));
-    out.push_str(&format!("truth={}\n", truth_label(&base.truth)));
-    out.push_str(&format!(
-        "closed_loop={}\n",
-        closed_loop_label(&base.closed_loop)
-    ));
-    out.push_str(&format!(
-        "suites={}\n",
-        join(grid.suites.iter().map(|s| s.label()))
-    ));
-    out.push_str(&format!(
-        "fault_sets={}\n",
-        join(
-            grid.fault_sets
-                .iter()
-                .map(|f| crate::scenario::faults_label(f))
-        )
-    ));
-    out.push_str(&format!(
-        "attackers={}\n",
-        join(grid.attackers.iter().map(|a| a.label()))
-    ));
-    out.push_str(&format!(
-        "schedules={}\n",
-        join(grid.schedules.iter().map(|s| s.name().to_string()))
-    ));
-    out.push_str(&format!(
-        "fusers={}\n",
-        join(grid.fusers.iter().map(fuser_label))
-    ));
-    out.push_str(&format!(
-        "detectors={}\n",
-        join(grid.detectors.iter().map(detector_label))
-    ));
-    out.push_str(&format!(
-        "rounds={}\n",
-        join(grid.rounds.iter().map(|r| r.to_string()))
-    ));
-    out.push_str(&format!(
-        "seeds={}\n",
-        join(grid.seeds.iter().map(|s| s.to_string()))
-    ));
+    let lines = [
+        ("f", base.f.to_string()),
+        ("truth", truth_label(&base.truth)),
+        ("closed_loop", closed_loop_label(&base.closed_loop)),
+        ("suites", join(&grid.suites, SuiteSpec::label)),
+        ("fault_sets", join(&grid.fault_sets, |f| faults_label(f))),
+        ("attackers", join(&grid.attackers, AttackerSpec::label)),
+        ("schedules", join(&grid.schedules, |s| s.name().to_string())),
+        ("fusers", join(&grid.fusers, fuser_label)),
+        ("detectors", join(&grid.detectors, detector_label)),
+        ("rounds", join(&grid.rounds, u64::to_string)),
+        ("seeds", join(&grid.seeds, u64::to_string)),
+    ];
+    let mut out = String::from("arsf-sweep-grid v1\n");
+    for (key, value) in lines {
+        let _ = writeln!(out, "{key}={value}");
+    }
     out
 }
 
@@ -189,7 +170,9 @@ pub fn baseline_path(dir: impl AsRef<Path>, address: &str) -> PathBuf {
 ///
 /// Per-vehicle platoon vectors are expanded into indexed columns
 /// (`vehicle_mean_widths[0]`, …) so every scalar has its own name in a
-/// drift report.
+/// drift report. [`CellRecord::from_row`] and
+/// [`CellRecord::from_csv_line`] build it from the column table in
+/// [`schema`](super::schema).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellRecord {
     /// The cell's position in grid order — the alignment key for diffs.
@@ -204,56 +187,6 @@ pub struct CellRecord {
 }
 
 impl CellRecord {
-    /// Flattens one report row.
-    pub fn from_row(row: &SweepRow) -> Self {
-        let s = &row.summary;
-        let condemned: Vec<String> = s.condemned.iter().map(|c| c.to_string()).collect();
-        let labels = vec![
-            ("suite".to_string(), row.suite.clone()),
-            ("faults".to_string(), row.faults.clone()),
-            ("attacker".to_string(), row.attacker.clone()),
-            ("schedule".to_string(), row.schedule.clone()),
-            ("fuser".to_string(), s.fuser.clone()),
-            ("detector".to_string(), s.detector.clone()),
-            ("rounds".to_string(), row.rounds.to_string()),
-            ("seed".to_string(), row.seed.to_string()),
-            ("condemned".to_string(), condemned.join("|")),
-        ];
-        let sup = s.supervisor.as_ref();
-        let mut metrics = vec![
-            ("mean_width".to_string(), Some(s.widths.mean())),
-            ("min_width".to_string(), s.widths.min()),
-            ("max_width".to_string(), s.widths.max()),
-            ("truth_lost".to_string(), Some(s.truth_lost as f64)),
-            ("truth_loss_rate".to_string(), Some(s.truth_loss_rate())),
-            (
-                "fusion_failures".to_string(),
-                Some(s.fusion_failures as f64),
-            ),
-            ("flagged_rounds".to_string(), Some(s.flagged_rounds as f64)),
-            ("above_rate".to_string(), sup.map(|v| v.above_rate)),
-            ("below_rate".to_string(), sup.map(|v| v.below_rate)),
-            ("preemptions".to_string(), sup.map(|v| v.preemptions as f64)),
-            ("min_gap".to_string(), sup.and_then(|v| v.min_gap)),
-        ];
-        for (i, vehicle) in s.vehicles.iter().enumerate() {
-            metrics.push((
-                format!("vehicle_mean_widths[{i}]"),
-                Some(vehicle.widths.mean()),
-            ));
-            metrics.push((format!("vehicle_max_widths[{i}]"), vehicle.widths.max()));
-            metrics.push((
-                format!("vehicle_truth_lost[{i}]"),
-                Some(vehicle.truth_lost as f64),
-            ));
-        }
-        Self {
-            cell: row.cell as u64,
-            labels,
-            metrics,
-        }
-    }
-
     /// Looks a label up by column name.
     pub fn label(&self, column: &str) -> Option<&str> {
         self.labels
@@ -297,37 +230,56 @@ impl Baseline {
         }
     }
 
+    /// Rebuilds the baseline of `grid` from its report's CSV data lines
+    /// (no header): equal to [`Baseline::from_report`] of the report
+    /// that wrote them, so a driven run holding only CSV lines records
+    /// and checks like an in-process one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Parse`] naming the first malformed line.
+    pub fn from_csv_lines<S: AsRef<str>>(
+        grid: &SweepGrid,
+        lines: &[S],
+    ) -> Result<Self, StoreError> {
+        let definition = canonical_definition(grid);
+        let rows = lines
+            .iter()
+            .enumerate()
+            .map(|(i, line)| {
+                CellRecord::from_csv_line(line.as_ref())
+                    .map_err(|e| StoreError::Parse(format!("CSV row {i}: {e}")))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            address: content_address(&definition),
+            definition,
+            rows,
+        })
+    }
+
     /// Renders the baseline as JSON (dependency-free, one row per line;
     /// [`Baseline::from_json`] round-trips the exact value).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"format\": {},\n", json_string(FORMAT)));
-        out.push_str(&format!("  \"address\": {},\n", json_string(&self.address)));
-        out.push_str(&format!(
-            "  \"definition\": {},\n",
-            json_string(&self.definition)
-        ));
+        let _ = writeln!(out, "  \"format\": {},", json_string(FORMAT));
+        let _ = writeln!(out, "  \"address\": {},", json_string(&self.address));
+        let _ = writeln!(out, "  \"definition\": {},", json_string(&self.definition));
         out.push_str("  \"rows\": [");
         for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"cell\":");
-            out.push_str(&row.cell.to_string());
-            out.push_str(",\"labels\":{");
+            out.push_str(if i > 0 { ",\n" } else { "\n" });
+            let _ = write!(out, "    {{\"cell\":{},\"labels\":{{", row.cell);
             for (j, (name, value)) in row.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{}:{}", json_string(name), json_string(value)));
+                out.push_str(if j > 0 { "," } else { "" });
+                let _ = write!(out, "{}:{}", json_string(name), json_string(value));
             }
             out.push_str("},\"metrics\":{");
             for (j, (name, value)) in row.metrics.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let rendered = value.map_or("null".to_string(), |v| format!("{v}"));
-                out.push_str(&format!("{}:{}", json_string(name), rendered));
+                out.push_str(if j > 0 { "," } else { "" });
+                let _ = match value {
+                    Some(v) => write!(out, "{}:{v}", json_string(name)),
+                    None => write!(out, "{}:null", json_string(name)),
+                };
             }
             out.push_str("}}");
         }
@@ -342,39 +294,40 @@ impl Baseline {
     /// Returns [`StoreError::Parse`] on malformed JSON, a wrong format
     /// tag, or a missing/ill-typed field.
     pub fn from_json(src: &str) -> Result<Self, StoreError> {
-        let value = json::parse(src).map_err(StoreError::Parse)?;
-        let top = value.as_object("baseline")?;
-        let format = get(top, "format")?.as_str("format")?;
-        if format != FORMAT {
-            return Err(StoreError::Parse(format!(
-                "unsupported baseline format `{format}` (expected `{FORMAT}`)"
-            )));
-        }
-        let address = get(top, "address")?.as_str("address")?.to_string();
-        let definition = get(top, "definition")?.as_str("definition")?.to_string();
-        let mut rows = Vec::new();
-        for (i, row) in get(top, "rows")?.as_array("rows")?.iter().enumerate() {
-            let row = row.as_object("row")?;
-            let cell = get(row, "cell")?.as_u64(&format!("rows[{i}].cell"))?;
-            let mut labels = Vec::new();
-            for (name, value) in get(row, "labels")?.as_object("labels")? {
-                labels.push((name.clone(), value.as_str(name)?.to_string()));
+        let parse = || -> Result<Self, String> {
+            let value = json::parse(src)?;
+            let format = value.field("format")?.as_str("format")?;
+            if format != FORMAT {
+                return Err(format!(
+                    "unsupported baseline format `{format}` (expected `{FORMAT}`)"
+                ));
             }
-            let mut metrics = Vec::new();
-            for (name, value) in get(row, "metrics")?.as_object("metrics")? {
-                metrics.push((name.clone(), value.as_nullable_f64(name)?));
+            let address = value.field("address")?.as_str("address")?.to_string();
+            let definition = value.field("definition")?.as_str("definition")?.to_string();
+            let mut rows = Vec::new();
+            for (i, row) in value.field("rows")?.as_array("rows")?.iter().enumerate() {
+                let cell = row.field("cell")?.as_u64(&format!("rows[{i}].cell"))?;
+                let mut labels = Vec::new();
+                for (name, value) in row.field("labels")?.as_object("labels")? {
+                    labels.push((name.clone(), value.as_str(name)?.to_string()));
+                }
+                let mut metrics = Vec::new();
+                for (name, value) in row.field("metrics")?.as_object("metrics")? {
+                    metrics.push((name.clone(), value.as_nullable_f64(name)?));
+                }
+                rows.push(CellRecord {
+                    cell,
+                    labels,
+                    metrics,
+                });
             }
-            rows.push(CellRecord {
-                cell,
-                labels,
-                metrics,
-            });
-        }
-        Ok(Self {
-            address,
-            definition,
-            rows,
-        })
+            Ok(Self {
+                address,
+                definition,
+                rows,
+            })
+        };
+        parse().map_err(StoreError::Parse)
     }
 
     /// Writes the baseline to `<dir>/<address>.json`, creating the
@@ -443,13 +396,6 @@ impl Baseline {
     }
 }
 
-fn get<'a>(obj: &'a [(String, json::Json)], key: &str) -> Result<&'a json::Json, StoreError> {
-    obj.iter()
-        .find(|(name, _)| name == key)
-        .map(|(_, value)| value)
-        .ok_or_else(|| StoreError::Parse(format!("missing field `{key}`")))
-}
-
 /// A baseline whose stored address does not match the recomputed
 /// address of its embedded definition (see [`Baseline::verify_address`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -496,276 +442,6 @@ impl std::error::Error for StoreError {}
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e)
-    }
-}
-
-/// A minimal recursive-descent JSON parser — exactly the subset the
-/// baseline files (and the reports they embed) use. Numbers keep their
-/// raw source text so 64-bit integers (derived seeds) survive without a
-/// lossy trip through `f64`.
-mod json {
-    /// One parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// A number, kept as its raw source text.
-        Num(String),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Json>),
-        /// An object, in source order.
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        pub fn as_object(&self, what: &str) -> Result<&[(String, Json)], super::StoreError> {
-            match self {
-                Json::Obj(fields) => Ok(fields),
-                other => Err(type_error(what, "an object", other)),
-            }
-        }
-
-        pub fn as_array(&self, what: &str) -> Result<&[Json], super::StoreError> {
-            match self {
-                Json::Arr(items) => Ok(items),
-                other => Err(type_error(what, "an array", other)),
-            }
-        }
-
-        pub fn as_str(&self, what: &str) -> Result<&str, super::StoreError> {
-            match self {
-                Json::Str(s) => Ok(s),
-                other => Err(type_error(what, "a string", other)),
-            }
-        }
-
-        pub fn as_u64(&self, what: &str) -> Result<u64, super::StoreError> {
-            match self {
-                Json::Num(raw) => raw
-                    .parse()
-                    .map_err(|_| super::StoreError::Parse(format!("{what}: `{raw}` is not a u64"))),
-                other => Err(type_error(what, "an integer", other)),
-            }
-        }
-
-        pub fn as_nullable_f64(&self, what: &str) -> Result<Option<f64>, super::StoreError> {
-            match self {
-                Json::Null => Ok(None),
-                Json::Num(raw) => raw.parse().map(Some).map_err(|_| {
-                    super::StoreError::Parse(format!("{what}: `{raw}` is not a number"))
-                }),
-                other => Err(type_error(what, "a number or null", other)),
-            }
-        }
-    }
-
-    fn type_error(what: &str, expected: &str, got: &Json) -> super::StoreError {
-        let kind = match got {
-            Json::Null => "null",
-            Json::Bool(_) => "a bool",
-            Json::Num(_) => "a number",
-            Json::Str(_) => "a string",
-            Json::Arr(_) => "an array",
-            Json::Obj(_) => "an object",
-        };
-        super::StoreError::Parse(format!("{what}: expected {expected}, got {kind}"))
-    }
-
-    /// Parses one complete JSON document.
-    pub fn parse(src: &str) -> Result<Json, String> {
-        let mut parser = Parser {
-            bytes: src.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_ws();
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(format!("trailing input at byte {}", parser.pos));
-        }
-        Ok(value)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn expect(&mut self, byte: u8) -> Result<(), String> {
-            if self.peek() == Some(byte) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected `{}` at byte {}", byte as char, self.pos))
-            }
-        }
-
-        fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-            if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-                self.pos += text.len();
-                Ok(value)
-            } else {
-                Err(format!("invalid literal at byte {}", self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Json, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => self.string().map(Json::Str),
-                Some(b'n') => self.literal("null", Json::Null),
-                Some(b't') => self.literal("true", Json::Bool(true)),
-                Some(b'f') => self.literal("false", Json::Bool(false)),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => Err(format!("unexpected input at byte {}", self.pos)),
-            }
-        }
-
-        fn object(&mut self) -> Result<Json, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                let value = self.value()?;
-                fields.push((key, value));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Json, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                let start = self.pos;
-                // Consume a run of plain bytes in one slice.
-                while let Some(c) = self.peek() {
-                    if c == b'"' || c == b'\\' || c < 0x20 {
-                        break;
-                    }
-                    self.pos += 1;
-                }
-                out.push_str(
-                    core::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| format!("invalid UTF-8 at byte {start}"))?,
-                );
-                match self.peek() {
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        let escape = self
-                            .peek()
-                            .ok_or_else(|| "unterminated escape".to_string())?;
-                        self.pos += 1;
-                        match escape {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'u' => {
-                                let end = self.pos + 4;
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..end)
-                                    .and_then(|h| core::str::from_utf8(h).ok())
-                                    .ok_or_else(|| "truncated \\u escape".to_string())?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                                self.pos = end;
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or_else(|| format!("invalid codepoint \\u{hex}"))?,
-                                );
-                            }
-                            other => return Err(format!("unknown escape `\\{}`", other as char)),
-                        }
-                    }
-                    _ => return Err("unterminated string".to_string()),
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Json, String> {
-            let start = self.pos;
-            if self.peek() == Some(b'-') {
-                self.pos += 1;
-            }
-            while let Some(c) = self.peek() {
-                if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-') {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-            let raw =
-                core::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-            if raw.is_empty() || raw == "-" || raw.parse::<f64>().is_err() {
-                return Err(format!("invalid number `{raw}` at byte {start}"));
-            }
-            Ok(Json::Num(raw.to_string()))
-        }
     }
 }
 
@@ -894,6 +570,30 @@ mod tests {
         );
         assert_eq!(open.rows[0].metric("above_rate"), Some(None));
         assert!(open.rows[0].metric("vehicle_mean_widths[0]").is_none());
+    }
+
+    #[test]
+    fn baseline_from_csv_lines_equals_baseline_from_report() {
+        let platoon = SweepGrid::new(
+            Scenario::new("cl", SuiteSpec::Landshark)
+                .with_attacker(AttackerSpec::RandomEachRound)
+                .with_rounds(30)
+                .with_closed_loop(ClosedLoopSpec::new(10.0).with_platoon(2, 0.01)),
+        )
+        .schedules([SchedulePolicy::Ascending, SchedulePolicy::Descending]);
+        for grid in [small_grid(25), platoon] {
+            let report = grid.run_serial();
+            let lines: Vec<String> = report.rows().iter().map(|r| r.to_csv_line()).collect();
+            assert_eq!(
+                Baseline::from_csv_lines(&grid, &lines).expect("writer output reads back"),
+                Baseline::from_report(&grid, &report)
+            );
+        }
+        let err = Baseline::from_csv_lines(&small_grid(5), &["1,2,3"]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "baseline parse error: CSV row 0: expected 25 CSV columns, got 3"
+        );
     }
 
     #[test]

@@ -1,38 +1,22 @@
 //! Property test: every `SweepRow` renders its axis coordinates — the
 //! cell index, suite, fault-set, attacker, schedule, rounds, seed and the
-//! closed-loop supervisor columns — into both the CSV line and the JSON
-//! object, byte-for-byte, for randomly-built grids in both execution
-//! modes.
+//! closed-loop supervisor and vehicle columns — into the CSV line, the
+//! CSV line reads back into the row's own `CellRecord`, and the JSON
+//! object carries the same values as the CSV line, for randomly-built
+//! grids in both execution modes.
 
+use arsf_core::json::{self, Json};
+use arsf_core::metrics::VehicleSummary;
 use arsf_core::scenario::{
     faults_label, AttackerSpec, ClosedLoopSpec, FuserSpec, Scenario, StrategySpec, SuiteSpec,
 };
+use arsf_core::sweep::schema::{split_csv, COLUMNS};
+use arsf_core::sweep::store::CellRecord;
 use arsf_core::sweep::{SweepGrid, SweepRow};
 use arsf_core::DetectionMode;
 use arsf_schedule::SchedulePolicy;
 use arsf_sensor::{FaultKind, FaultModel};
 use proptest::prelude::*;
-
-/// Splits one CSV line into fields, honouring the report's quoting rules.
-fn split_csv(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut field = String::new();
-    let mut quoted = false;
-    let mut chars = line.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if quoted && chars.peek() == Some(&'"') => {
-                chars.next();
-                field.push('"');
-            }
-            '"' => quoted = !quoted,
-            ',' if !quoted => fields.push(std::mem::take(&mut field)),
-            c => field.push(c),
-        }
-    }
-    fields.push(field);
-    fields
-}
 
 fn schedule_pool(i: usize) -> SchedulePolicy {
     match i % 3 {
@@ -76,26 +60,47 @@ fn attacker_pool(i: usize) -> AttackerSpec {
     }
 }
 
-/// Asserts one row's CSV line and JSON object carry exactly its axis
-/// coordinates and supervisor columns.
+/// The CSV text of one parsed JSON value: numbers verbatim, `null` as
+/// an empty field, arrays `|`-joined.
+fn csv_text(value: &Json) -> String {
+    match value {
+        Json::Null => String::new(),
+        Json::Num(raw) | Json::Str(raw) => raw.clone(),
+        Json::Arr(items) => items.iter().map(csv_text).collect::<Vec<_>>().join("|"),
+        other => panic!("no sweep column renders {other:?}"),
+    }
+}
+
+/// Asserts one row's CSV line carries exactly its axis coordinates and
+/// supervisor and vehicle columns, reads back into the row's own
+/// record, and agrees with the row's JSON object column by column.
 fn assert_row_round_trips(
     row: &SweepRow,
     csv_line: &str,
-    json_object: &str,
+    json_object: &Json,
 ) -> Result<(), TestCaseError> {
     let fields = split_csv(csv_line);
-    prop_assert_eq!(fields.len(), 25, "CSV column count: {}", csv_line);
+    prop_assert_eq!(
+        fields.len(),
+        COLUMNS.len(),
+        "CSV column count: {}",
+        csv_line
+    );
+    let field = |name: &str| {
+        let index = COLUMNS.iter().position(|c| c.name == name).unwrap();
+        fields[index].clone()
+    };
     let s = &row.summary;
-    prop_assert_eq!(&fields[0], &format!("{}", row.cell));
-    prop_assert_eq!(&fields[1], &s.scenario);
-    prop_assert_eq!(&fields[2], &row.suite);
-    prop_assert_eq!(&fields[3], &row.faults);
-    prop_assert_eq!(&fields[4], &row.attacker);
-    prop_assert_eq!(&fields[5], &row.schedule);
-    prop_assert_eq!(&fields[6], &s.fuser);
-    prop_assert_eq!(&fields[7], &s.detector);
-    prop_assert_eq!(&fields[8], &format!("{}", row.rounds));
-    prop_assert_eq!(&fields[9], &format!("{}", row.seed));
+    prop_assert_eq!(field("cell"), format!("{}", row.cell));
+    prop_assert_eq!(&field("scenario"), &s.scenario);
+    prop_assert_eq!(&field("suite"), &row.suite);
+    prop_assert_eq!(&field("faults"), &row.faults);
+    prop_assert_eq!(&field("attacker"), &row.attacker);
+    prop_assert_eq!(&field("schedule"), &row.schedule);
+    prop_assert_eq!(&field("fuser"), &s.fuser);
+    prop_assert_eq!(&field("detector"), &s.detector);
+    prop_assert_eq!(field("rounds"), format!("{}", row.rounds));
+    prop_assert_eq!(field("seed"), format!("{}", row.seed));
     let (above, below, preempts, gap) = match &s.supervisor {
         None => (String::new(), String::new(), String::new(), String::new()),
         Some(sup) => (
@@ -105,70 +110,38 @@ fn assert_row_round_trips(
             sup.min_gap.map_or(String::new(), |g| format!("{g}")),
         ),
     };
-    prop_assert_eq!(&fields[18], &above);
-    prop_assert_eq!(&fields[19], &below);
-    prop_assert_eq!(&fields[20], &preempts);
-    prop_assert_eq!(&fields[21], &gap);
-    // Per-vehicle columns: pipe-joined in CSV, arrays in JSON, leader
-    // first; empty for everything but closed-loop platoon rows.
-    let vehicle_means: Vec<String> = s
-        .vehicles
-        .iter()
-        .map(|v| format!("{}", v.widths.mean()))
-        .collect();
-    let vehicle_maxes_csv: Vec<String> = s
-        .vehicles
-        .iter()
-        .map(|v| v.widths.max().map_or(String::new(), |w| format!("{w}")))
-        .collect();
-    let vehicle_lost: Vec<String> = s
-        .vehicles
-        .iter()
-        .map(|v| format!("{}", v.truth_lost))
-        .collect();
-    prop_assert_eq!(&fields[22], &vehicle_means.join("|"));
-    prop_assert_eq!(&fields[23], &vehicle_maxes_csv.join("|"));
-    prop_assert_eq!(&fields[24], &vehicle_lost.join("|"));
-
-    let null_or = |v: &str| {
-        if v.is_empty() {
-            "null".to_string()
-        } else {
-            v.to_string()
-        }
+    prop_assert_eq!(field("above_rate"), above);
+    prop_assert_eq!(field("below_rate"), below);
+    prop_assert_eq!(field("preemptions"), preempts);
+    prop_assert_eq!(field("min_gap"), gap);
+    // Per-vehicle columns: pipe-joined, leader first; empty for
+    // everything but closed-loop platoon rows.
+    let joined = |value: &dyn Fn(&VehicleSummary) -> String| {
+        s.vehicles.iter().map(value).collect::<Vec<_>>().join("|")
     };
-    for expected in [
-        format!("\"cell\":{}", row.cell),
-        format!("\"suite\":\"{}\"", row.suite),
-        format!("\"faults\":\"{}\"", row.faults),
-        format!("\"attacker\":\"{}\"", row.attacker),
-        format!("\"schedule\":\"{}\"", row.schedule),
-        format!("\"rounds\":{}", row.rounds),
-        format!("\"seed\":{}", row.seed),
-        format!("\"above_rate\":{}", null_or(&above)),
-        format!("\"below_rate\":{}", null_or(&below)),
-        format!("\"preemptions\":{}", null_or(&preempts)),
-        format!("\"min_gap\":{}", null_or(&gap)),
-        format!("\"vehicle_mean_widths\":[{}]", vehicle_means.join(",")),
-        format!(
-            "\"vehicle_max_widths\":[{}]",
-            s.vehicles
-                .iter()
-                .map(|v| v
-                    .widths
-                    .max()
-                    .map_or("null".to_string(), |w| format!("{w}")))
-                .collect::<Vec<_>>()
-                .join(",")
-        ),
-        format!("\"vehicle_truth_lost\":[{}]", vehicle_lost.join(",")),
-    ] {
-        prop_assert!(
-            json_object.contains(&expected),
-            "JSON object misses `{}`: {}",
-            expected,
-            json_object
-        );
+    prop_assert_eq!(
+        field("vehicle_mean_widths"),
+        joined(&|v| format!("{}", v.widths.mean()))
+    );
+    prop_assert_eq!(
+        field("vehicle_max_widths"),
+        joined(&|v| v.widths.max().map_or(String::new(), |w| format!("{w}")))
+    );
+    prop_assert_eq!(
+        field("vehicle_truth_lost"),
+        joined(&|v| format!("{}", v.truth_lost))
+    );
+
+    // The reader inverts the writer as far as the record is concerned.
+    let read = CellRecord::from_csv_line(csv_line).map_err(TestCaseError::fail)?;
+    prop_assert_eq!(read, CellRecord::from_row(row));
+
+    // The JSON object carries the same values as the CSV line.
+    let members = json_object.as_object("row").map_err(TestCaseError::fail)?;
+    prop_assert_eq!(members.len(), COLUMNS.len());
+    for ((name, value), (column, csv)) in members.iter().zip(COLUMNS.iter().zip(&fields)) {
+        prop_assert_eq!(name, column.name);
+        prop_assert_eq!(&csv_text(value), csv, "column {}", name);
     }
     Ok(())
 }
@@ -178,16 +151,11 @@ fn assert_report_round_trips(grid: &SweepGrid) -> Result<(), TestCaseError> {
     let csv = report.to_csv();
     let lines: Vec<&str> = csv.lines().skip(1).collect();
     prop_assert_eq!(lines.len(), report.len());
-    let json = report.to_json();
-    let objects: Vec<&str> = json
-        .split("{\"cell\":")
-        .skip(1)
-        .map(|chunk| chunk.split('}').next().unwrap_or(""))
-        .collect();
+    let json = json::parse(&report.to_json()).map_err(TestCaseError::fail)?;
+    let objects = json.as_array("report").map_err(TestCaseError::fail)?;
     prop_assert_eq!(objects.len(), report.len());
-    for (row, (line, object)) in report.rows().iter().zip(lines.iter().zip(&objects)) {
-        let object = format!("{{\"cell\":{object}}}");
-        assert_row_round_trips(row, line, &object)?;
+    for (row, (line, object)) in report.rows().iter().zip(lines.iter().zip(objects)) {
+        assert_row_round_trips(row, line, object)?;
     }
     Ok(())
 }
